@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 # All IUPAC element symbols, for parsing arbitrary bracket atoms.
 ELEMENTS = frozenset("""
@@ -78,8 +79,12 @@ class AtomLabel:
 _LABEL_RE = re.compile(r"^([A-Z][a-z]?|[bcnops])([+-]\d*)?(?::(\d+))?$")
 
 
+@lru_cache(maxsize=4096)
 def parse_atom_label(label: str) -> AtomLabel | None:
-    """Decode a node label; ``None`` when it is not a chemical atom label."""
+    """Decode a node label; ``None`` when it is not a chemical atom label.
+
+    Results are cached: ``AtomLabel`` is frozen, so callers may share them.
+    """
     m = _LABEL_RE.match(label)
     if not m:
         return None

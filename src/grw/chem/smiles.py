@@ -7,17 +7,21 @@ bond symbols ``- = # :``, dot-separated components, and molecular-group
 placeholders ``[{NAME}]`` expanded through a registry.  Stereochemistry
 and isotopes are out of scope.
 
-Canonical output is produced by iterative neighborhood refinement plus
-exhaustive tie-breaking, so any node ordering of the same molecule yields
-byte-identical SMILES.
+Canonical output ranks the hydrogen-suppressed molecule with the search
+of :func:`grw.match.canonical_form` (neighborhood refinement, then
+individualization of tied atoms, pruned by the automorphisms found) and
+writes the smallest SMILES over its leaves, so any node ordering of the
+same molecule yields byte-identical SMILES.  Writing uses explicit stacks
+and touches no interpreter setting.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import LabeledGraph
+from ..match import canonical_form
 from .atoms import (AtomLabel, ORGANIC_SUBSET, implicit_hydrogens,
                     parse_atom_label, ELEMENTS, AROMATIC_ELEMENTS)
 from .molecule import ChemError, Molecule
@@ -261,6 +265,7 @@ def _heavy_view(m: Molecule) -> _Heavy | None:
 
 
 _BOND_RANK = {"-": 0, "=": 1, "#": 2, ":": 3}
+_BOND_ORDER = {"-": 1, "=": 2, "#": 3}
 
 
 def _initial_colors(h: _Heavy) -> list[int]:
@@ -271,20 +276,6 @@ def _initial_colors(h: _Heavy) -> list[int]:
                      atom.aromatic, len(h.adj[i]), h.h_count[i], bond_sig))
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     return [ranking[s] for s in sigs]
-
-
-def _refine(h: _Heavy, colors: list[int]) -> list[int]:
-    n = len(h.atoms)
-    while True:
-        sigs = []
-        for v in range(n):
-            nbr = tuple(sorted((_BOND_RANK[lbl], colors[u]) for u, lbl in h.adj[v].items()))
-            sigs.append((colors[v], nbr))
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
 
 
 def _atom_token(atom: AtomLabel, h: int, heavy_single: int, heavy_aromatic: int) -> str:
@@ -316,114 +307,97 @@ def _atom_token(atom: AtomLabel, h: int, heavy_single: int, heavy_aromatic: int)
 def _emit(h: _Heavy, rank: list[int]) -> str:
     """Write SMILES following ranks: lowest-rank root, neighbors by rank."""
     n = len(h.atoms)
-    root = min(range(n), key=lambda v: rank[v])
+    root = rank.index(0)
 
+    # Depth-first spanning tree, children in rank order.
     parent: dict[int, int | None] = {root: None}
-    visited = {root}
-    preindex: dict[int, int] = {}
-    counter = [0]
+    preindex = {root: 0}
     tree_children: dict[int, list[int]] = {v: [] for v in range(n)}
-
-    def build(v: int) -> None:
-        preindex[v] = counter[0]
-        counter[0] += 1
-        for u in sorted(h.adj[v], key=lambda u: rank[u]):
-            if u not in visited:
-                visited.add(u)
+    walk = [(root, iter(sorted(h.adj[root], key=rank.__getitem__)))]
+    while walk:
+        v, pending = walk[-1]
+        for u in pending:
+            if u not in preindex:
+                preindex[u] = len(preindex)
                 parent[u] = v
                 tree_children[v].append(u)
-                build(u)
+                walk.append((u, iter(sorted(h.adj[u], key=rank.__getitem__))))
+                break
+        else:
+            walk.pop()
 
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * n + 100))
-    try:
-        build(root)
-        back_open: dict[int, list[int]] = {v: [] for v in range(n)}
-        back_close: dict[int, list[int]] = {v: [] for v in range(n)}
-        for a, b, lbl in h.edges:
-            if parent.get(a) == b or parent.get(b) == a:
-                continue
-            first, second = (a, b) if preindex[a] < preindex[b] else (b, a)
-            back_open[first].append(second)
-            back_close[second].append(first)
+    back_open: dict[int, list[int]] = {v: [] for v in range(n)}
+    back_close: dict[int, list[int]] = {v: [] for v in range(n)}
+    for a, b, lbl in h.edges:
+        if parent.get(a) == b or parent.get(b) == a:
+            continue
+        first, second = (a, b) if preindex[a] < preindex[b] else (b, a)
+        back_open[first].append(second)
+        back_close[second].append(first)
 
-        digit_of: dict[tuple[int, int], int] = {}
-        free: list[int] = list(range(1, 100))
-        out: list[str] = []
+    digit_of: dict[tuple[int, int], int] = {}
+    free: list[int] = list(range(1, 100))
+    out: list[str] = []
 
-        def bond_str(a: int, b: int) -> str:
-            lbl = h.adj[a][b]
-            if lbl == "-":
-                return "" if not (h.atoms[a].aromatic and h.atoms[b].aromatic) else "-"
+    def bond_str(a: int, b: int) -> str:
+        lbl = h.adj[a][b]
+        if lbl == "-":
+            return "" if not (h.atoms[a].aromatic and h.atoms[b].aromatic) else "-"
+        if lbl == ":":
+            return "" if (h.atoms[a].aromatic and h.atoms[b].aromatic) else ":"
+        return lbl
+
+    def digit_token(d: int) -> str:
+        return str(d) if d < 10 else f"%{d:02d}"
+
+    # Atoms (ints) and literal text (strs), popped in output order.
+    todo: list[int | str] = [root]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, str):
+            out.append(v)
+            continue
+        single, arom = 0, 0
+        for u, lbl in h.adj[v].items():
             if lbl == ":":
-                return "" if (h.atoms[a].aromatic and h.atoms[b].aromatic) else ":"
-            return lbl
-
-        def digit_token(d: int) -> str:
-            return str(d) if d < 10 else f"%{d:02d}"
-
-        def emit(v: int) -> None:
-            single, arom = 0, 0
-            for u, lbl in h.adj[v].items():
-                if lbl == ":":
-                    arom += 1
-                else:
-                    single += int({"-": 1, "=": 2, "#": 3}[lbl])
-            out.append(_atom_token(h.atoms[v], h.h_count[v], single, arom))
-            for u in sorted(back_close[v], key=lambda u: preindex[u]):
-                key = (u, v)
-                d = digit_of.pop(key)
-                free.append(d)
-                free.sort()
-                out.append(digit_token(d))
-            for u in sorted(back_open[v], key=lambda u: preindex[u]):
-                d = free.pop(0)
-                digit_of[(v, u)] = d
-                out.append(bond_str(v, u) + digit_token(d))
-            kids = tree_children[v]
-            for idx, u in enumerate(kids):
-                last = idx == len(kids) - 1
-                if not last:
-                    out.append("(")
-                out.append(bond_str(v, u))
-                emit(u)
-                if not last:
-                    out.append(")")
-
-        emit(root)
-    finally:
-        sys.setrecursionlimit(old_limit)
+                arom += 1
+            else:
+                single += _BOND_ORDER[lbl]
+        out.append(_atom_token(h.atoms[v], h.h_count[v], single, arom))
+        for u in sorted(back_close[v], key=lambda u: preindex[u]):
+            d = digit_of.pop((u, v))
+            free.append(d)
+            free.sort()
+            out.append(digit_token(d))
+        for u in sorted(back_open[v], key=lambda u: preindex[u]):
+            d = free.pop(0)
+            digit_of[(v, u)] = d
+            out.append(bond_str(v, u) + digit_token(d))
+        kids = tree_children[v]
+        if kids:
+            # The last child continues the chain; earlier ones are branches.
+            todo += [kids[-1], bond_str(v, kids[-1])]
+            for u in reversed(kids[:-1]):
+                todo += [")", u, bond_str(v, u), "("]
     return "".join(out)
 
 
+def _certificate(h: _Heavy, colors: list[int], rank: list[int]) -> tuple:
+    """The heavy-atom view relabelled by ``rank``: initial colours (which
+    encode atom label and hydrogen count) in rank order, then bonds."""
+    by_rank = [0] * len(rank)
+    for v, r in enumerate(rank):
+        by_rank[r] = v
+    bonds = sorted((rank[a], rank[b], lbl) if rank[a] < rank[b] else (rank[b], rank[a], lbl)
+                   for a, b, lbl in h.edges)
+    return tuple(colors[v] for v in by_rank), tuple(bonds)
+
+
 def _canonical_string(h: _Heavy) -> str:
-    n = len(h.atoms)
-    best: list[str | None] = [None]
-
-    def descend(colors: list[int]) -> None:
-        colors = _refine(h, colors)
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(colors[v], []).append(v)
-        split = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                split = c
-                break
-        if split is None:
-            s = _emit(h, colors)
-            if best[0] is None or s < best[0]:
-                best[0] = s
-            return
-        for v in groups[split]:
-            branched = [c + 1 if c >= split else c for c in colors]
-            branched[v] = split
-            descend(branched)
-
-    descend(_initial_colors(h))
-    assert best[0] is not None
-    return best[0]
+    colors = _initial_colors(h)
+    adj = [[(u, _BOND_RANK[lbl]) for u, lbl in a.items()] for a in h.adj]
+    return canonical_form(adj, colors, lambda rank: _emit(h, rank),
+                          lambda rank: _certificate(h, colors, rank))
 
 
 def canonical_smiles(m: Molecule) -> str:

@@ -10,8 +10,8 @@ restrict the host neighborhood of matched nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import LabeledGraph
 
@@ -272,67 +272,231 @@ def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return bool(find_monomorphisms(Pattern(g1), g2, limit=1))
 
 
-# -- canonical keys ---------------------------------------------------------
+# -- canonical search -------------------------------------------------------
 
-def _refine_colors(g: LabeledGraph, colors: list[int]) -> list[int]:
+def _refine(nbrs: list[list[tuple[int, int]]], colors: list[int],
+            cells: dict[int, list[int]], touched: Iterable[int]) -> None:
+    """Refine an ordered partition in place, in synchronous rounds.
+
+    ``colors[v]`` is the position of the first vertex of ``v``'s cell in
+    the ordering and ``cells`` maps that position to the cell's members in
+    ascending order.  ``nbrs[v]`` lists ``(u, code * n)`` per neighbour,
+    so ``colors[u] + code * n`` orders like the pair ``(code, colors[u])``.
+    Each round splits every cell by the sorted tuple of its members'
+    neighbour pairs, the parts ordered by that tuple, until a round splits
+    nothing.  Only cells with a neighbour in ``touched`` (in a later
+    round: in a cell that split) can split, so only those are examined.
+    """
     while True:
-        sigs = []
-        for v in g.nodes():
-            nbr = tuple(sorted((lbl, colors[u]) for u, lbl in g.neighbors(v).items()))
-            sigs.append((colors[v], nbr))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        candidates = {colors[u] for v in touched for u, _ in nbrs[v]}
+        splits = []
+        for start in candidates:
+            members = cells[start]
+            if len(members) == 1:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in members:
+                sig = tuple(sorted([colors[u] + off for u, off in nbrs[v]]))
+                parts.setdefault(sig, []).append(v)
+            if len(parts) > 1:
+                splits.append((start, parts))
+        if not splits:
+            return
+        touched = []
+        for start, parts in splits:
+            for sig in sorted(parts):
+                part = parts[sig]
+                cells[start] = part
+                for v in part:
+                    colors[v] = start
+                start += len(part)
+                touched += part
 
 
-def _serialize_by_rank(g: LabeledGraph, rank: dict[int, int]) -> str:
-    by_rank = sorted(g.nodes(), key=lambda v: rank[v])
+def _refined(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int]
+             ) -> tuple[list[list[tuple[int, int]]], list[int], dict[int, list[int]]]:
+    """Neighbour pairs for :func:`_refine` and the refined initial partition."""
+    n = len(adj)
+    nbrs = [[(u, code * n) for u, code in a] for a in adj]
+    order = sorted(range(n), key=colors.__getitem__)
+    pos = [0] * n
+    cells: dict[int, list[int]] = {}
+    start = 0
+    for i, v in enumerate(order):
+        if i and colors[v] != colors[order[i - 1]]:
+            start = i
+        pos[v] = start
+        cells.setdefault(start, []).append(v)
+    _refine(nbrs, pos, cells, range(n))
+    return nbrs, pos, cells
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+class _Node:
+    """A non-leaf node of the search tree and its progress through the
+    members of its target cell."""
+
+    __slots__ = ("path", "colors", "cells", "target", "next", "explored", "orbit", "used")
+
+    def __init__(self, path: tuple[int, ...], colors: list[int],
+                 cells: dict[int, list[int]]):
+        self.path, self.colors, self.cells = path, colors, cells
+        self.target = min(s for s, c in cells.items() if len(c) > 1)
+        self.next = 0
+        self.explored: list[int] = []
+        self.orbit: list[int] | None = None  # union-find parents
+        self.used = 0  # automorphisms merged into ``orbit``
+
+    def in_explored_orbit(self, v: int, autos: list[list[int]]) -> bool:
+        """Whether an automorphism fixing the path maps an explored member to ``v``."""
+        if not autos or not self.explored:
+            return False
+        if self.orbit is None:
+            self.orbit = list(range(len(self.colors)))
+        parent = self.orbit
+        for gamma in autos[self.used:]:
+            if all(gamma[x] == x for x in self.path):
+                for x, y in enumerate(gamma):
+                    a, b = _root(parent, x), _root(parent, y)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+        self.used = len(autos)
+        root = _root(parent, v)
+        return any(_root(parent, w) == root for w in self.explored)
+
+
+def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int],
+                   serialize: Callable[[list[int]], str],
+                   certify: Callable[[list[int]], Hashable] | None = None) -> str:
+    """The smallest ``serialize(rank)`` over the leaves of the search tree.
+
+    ``adj[v]`` lists ``(u, code)`` for each neighbour ``u`` of ``v``, with
+    an integer code for the edge label; ``colors`` is the initial
+    colouring, compared as integers.  A node of the tree refines its
+    partition; if a cell has more than one member, the first such cell
+    (by colour) is split by individualizing each member in turn.  A leaf
+    is a discrete partition, passed on as ``rank[v]`` in ``0..n-1``.
+
+    ``certify(rank)`` must be equal for two leaves exactly when the graph
+    relabelled by their ranks is the same; by default the serialization
+    itself is the certificate.  From the second leaf on, two leaves with
+    equal certificates give an automorphism.  The search then returns to
+    the node where the two leaves' paths part, and at each node skips
+    members of the target cell in the orbit of a member already explored,
+    under the automorphisms found so far that fix the node's path.  Only
+    subtrees whose leaves equal explored ones are skipped, so the result
+    is the minimum over all leaves (McKay and Piperno 2014).
+    """
+    n = len(adj)
+    nbrs, root_colors, root_cells = _refined(adj, colors)
+    best = ""
+    first: tuple[tuple[int, ...], list[int]] | None = None
+    seen: dict[Hashable, tuple[tuple[int, ...], list[int]]] = {}
+    autos: list[list[int]] = []
+    stack: list[_Node] = []
+
+    def visit(path: tuple[int, ...], colors: list[int], cells: dict[int, list[int]]) -> None:
+        """Push a non-leaf node, or score a leaf and return to where an
+        equivalent leaf's path parts from this one."""
+        nonlocal best, first
+        if len(cells) < n:
+            stack.append(_Node(path, colors, cells))
+            return
+        if first is None:
+            first = (path, colors)
+            best = serialize(colors)
+            if certify is None:
+                seen[best] = first
+            return
+        if certify is not None and not seen:
+            seen[certify(first[1])] = first
+        cert = serialize(colors) if certify is None else certify(colors)
+        prior = seen.get(cert)
+        if prior is None:
+            seen[cert] = (path, colors)
+            s = cert if certify is None else serialize(colors)
+            best = min(best, s)
+            return
+        prior_path, prior_colors = prior
+        vertex_at = [0] * n
+        for v, r in enumerate(colors):
+            vertex_at[r] = v
+        autos.append([vertex_at[r] for r in prior_colors])
+        depth = 0
+        while path[depth] == prior_path[depth]:
+            depth += 1
+        del stack[depth + 1:]
+
+    visit((), root_colors, root_cells)
+    while stack:
+        node = stack[-1]
+        members = node.cells[node.target]
+        while node.next < len(members):
+            v = members[node.next]
+            node.next += 1
+            if not node.in_explored_orbit(v, autos):
+                break
+        else:
+            stack.pop()
+            continue
+        node.explored.append(v)
+        child_colors = list(node.colors)
+        child_cells = dict(node.cells)
+        rest = [w for w in members if w != v]
+        child_cells[node.target] = [v]
+        child_cells[node.target + 1] = rest
+        for w in rest:
+            child_colors[w] = node.target + 1
+        _refine(nbrs, child_colors, child_cells, members)
+        visit(node.path + (v,), child_colors, child_cells)
+    return best
+
+
+def _serialize_by_rank(g: LabeledGraph, rank: list[int]) -> str:
+    by_rank = [0] * g.node_count
+    for v, r in enumerate(rank):
+        by_rank[r] = v
     labels = ",".join(g.label(v) for v in by_rank)
-    edges = sorted((min(rank[u], rank[v]), max(rank[u], rank[v]), lbl)
+    edges = sorted((rank[u], rank[v], lbl) if rank[u] < rank[v] else (rank[v], rank[u], lbl)
                    for u, v, lbl in g.edges())
     etxt = ";".join(f"{a}-{b}:{lbl}" for a, b, lbl in edges)
     return f"{g.node_count}|{labels}|{etxt}"
 
 
+def _coded(g: LabeledGraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Neighbour lists with edge labels coded by their rank in sorted
+    order, and node labels ranked the same way as initial colours."""
+    node_rank = {lbl: i for i, lbl in enumerate(sorted(set(g.node_labels)))}
+    edge_rank = {lbl: i for i, lbl in enumerate(sorted({lbl for _, _, lbl in g.edges()}))}
+    adj = [[(u, edge_rank[lbl]) for u, lbl in g.neighbors(v).items()] for v in g.nodes()]
+    return adj, [node_rank[lbl] for lbl in g.node_labels]
+
+
+def refinement_invariant(g: LabeledGraph) -> tuple[tuple[int, str], ...]:
+    """Sorted (stable colour, label) pairs of the refined label colouring.
+
+    Isomorphic graphs get equal invariants; unequal invariants prove that
+    two graphs are not isomorphic.
+    """
+    _, colors, _ = _refined(*_coded(g))
+    return tuple(sorted(zip(colors, g.node_labels)))
+
+
 def canonical_key(g: LabeledGraph) -> str:
     """A string identical for isomorphic graphs and different otherwise.
 
-    Iterative neighborhood refinement, then exhaustive individualization of
-    residual symmetry classes, keeping the lexicographically smallest
-    serialization.  Intended for the small graphs handled by exploration
-    and deduplication; cost grows with graph symmetry.
+    The smallest serialization over the leaves of :func:`canonical_form`,
+    starting from the node labels and coding edge labels by their sorted
+    order.  Automorphisms found at the leaves prune the search, so
+    symmetric graphs such as explicit-hydrogen neopentane take a handful
+    of leaves instead of one per symmetry.
     """
     if g.node_count == 0:
         return "0||"
-    best: list[str | None] = [None]
-
-    init = [0] * g.node_count
-    ranking = {lbl: i for i, lbl in enumerate(sorted(set(g.node_labels)))}
-    init = [ranking[g.label(v)] for v in g.nodes()]
-
-    def descend(colors: list[int]) -> None:
-        colors = _refine_colors(g, colors)
-        groups: dict[int, list[int]] = {}
-        for v in g.nodes():
-            groups.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                target = c
-                break
-        if target is None:
-            rank = {v: colors[v] for v in g.nodes()}
-            s = _serialize_by_rank(g, rank)
-            if best[0] is None or s < best[0]:
-                best[0] = s
-            return
-        for v in groups[target]:
-            branched = [c + 1 if c >= target else c for c in colors]
-            branched[v] = target
-            descend(branched)
-
-    descend(init)
-    assert best[0] is not None
-    return best[0]
+    adj, colors = _coded(g)
+    return canonical_form(adj, colors, lambda rank: _serialize_by_rank(g, rank))

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .core import GmlError, LabeledGraph, TokenStream, _normalize
 from .match import (Adjacency, EdgeLabel, MatchConstraint, NodeDegree,
                     NodeLabel, NoEdge, Pattern, are_isomorphic,
-                    find_monomorphisms)
+                    find_monomorphisms, refinement_invariant)
 
 log = logging.getLogger(__name__)
 
@@ -423,6 +423,9 @@ def apply_all(rule: RuleGraph, host: LabeledGraph, reporter: Reporter | None = N
     """
     pattern, _ = rule.left_pattern()
     results: list[RewriteResult] = []
+    # Isomorphic graphs share a refinement invariant, so only results in
+    # the same bucket need the pairwise isomorphism test.
+    buckets: dict[tuple, list[LabeledGraph]] = {}
     for match in find_monomorphisms(pattern, host):
         try:
             res = apply(rule, host, match)
@@ -430,8 +433,11 @@ def apply_all(rule: RuleGraph, host: LabeledGraph, reporter: Reporter | None = N
             log.warning("rule %s: skipping match %s (%s)",
                         rule.rule_id, match, exc)
             continue
-        if dedup and any(are_isomorphic(res.graph, prior.graph) for prior in results):
-            continue
+        if dedup:
+            bucket = buckets.setdefault(refinement_invariant(res.graph), [])
+            if any(are_isomorphic(res.graph, prior) for prior in bucket):
+                continue
+            bucket.append(res.graph)
         results.append(res)
         if reporter is not None and reporter(res) is False:
             break

@@ -66,3 +66,10 @@ def formose_inputs() -> list[Molecule]:
 def formose_net5(formose_rules, formose_inputs):
     from grw.network import ExpansionConfig, expand
     return expand(formose_inputs, formose_rules, ExpansionConfig(iterations=5))
+
+
+@pytest.fixture(scope="session")
+def formose_net6(formose_rules, formose_inputs):
+    """Formose expansion to iteration 6, computed once for every test that reads it."""
+    from grw.network import ExpansionConfig, expand
+    return expand(formose_inputs, formose_rules, ExpansionConfig(iterations=6))

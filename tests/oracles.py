@@ -61,16 +61,20 @@ def _constraint_ok(c, host: LabeledGraph, image, wildcard) -> bool:
 
 def brute_force_monomorphisms(pattern: Pattern | LabeledGraph,
                               host: LabeledGraph) -> list[tuple[int, ...]]:
-    """All injective label-preserving embeddings, by trying every map."""
+    """All injective label-preserving embeddings, by trying every map.
+
+    Each pattern node ranges over the host nodes its label admits; every
+    injective combination of those is checked.
+    """
     if isinstance(pattern, LabeledGraph):
         pattern = Pattern(pattern)
     pg, wc = pattern.graph, pattern.wildcard
     k, n = pg.node_count, host.node_count
+    admits = [[h for h in range(n) if pg.label(i) == wc or pg.label(i) == host.label(h)]
+              for i in range(k)]
     out = []
-    for image in itertools.permutations(range(n), k):
-        ok = all(
-            pg.label(i) == wc or pg.label(i) == host.label(image[i])
-            for i in range(k))
+    for image in itertools.product(*admits):
+        ok = len(set(image)) == k
         if ok:
             for u, v, lbl in pg.edges():
                 hlbl = host.edge_label(image[u], image[v])

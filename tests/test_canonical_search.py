@@ -1,0 +1,120 @@
+"""The orbit-pruned canonical search behind canonical_key and canonical_smiles.
+
+``data/canonical_strings.json`` holds strings recorded from the exhaustive
+search that visited every individualization leaf.  Pruning may only skip
+leaves equal to ones already seen, so every string must stay the same.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from grw import LabeledGraph, canonical_key, disjoint_union, parse_gml_rule
+from grw.chem import canonical_smiles, fill_hydrogens, parse_smiles
+from grw.rules import explore
+
+from conftest import asset_text, permuted, prep
+
+PINNED = json.loads((Path(__file__).parent / "data" / "canonical_strings.json").read_text())
+
+CLIFFS = {
+    "neopentane": "CC(C)(C)C",
+    "hexamethylbenzene": "CC1=C(C)C(C)=C(C)C(C)=C1C",
+    "tri-tert-butylmethane": "CC(C)(C)C(C(C)(C)C)C(C)(C)C",
+    "tetra-tert-butylmethane": "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+}
+
+
+def unlabeled(n: int, edges) -> LabeledGraph:
+    return LabeledGraph.from_parts(["*"] * n, [(a, b, "*") for a, b in edges])
+
+
+class TestPinnedStrings:
+    @pytest.mark.parametrize("smiles", sorted(PINNED["assorted"]))
+    def test_assorted(self, smiles):
+        m = prep(smiles)
+        assert [canonical_smiles(m), canonical_key(m.graph)] == PINNED["assorted"][smiles]
+
+    @pytest.mark.parametrize("name", sorted(PINNED["symmetric"]))
+    def test_symmetric(self, name):
+        want = PINNED["symmetric"][name]
+        m = prep(want["smiles_in"])
+        assert canonical_smiles(m) == want["smiles"]
+        assert canonical_key(m.graph) == want["key"]
+
+    @pytest.mark.parametrize("name", sorted(PINNED["ydelta"]))
+    def test_ydelta_graph_and_its_exploration(self, name):
+        want = PINNED["ydelta"][name]
+        g = unlabeled(want["nodes"], want["edges"])
+        assert canonical_key(g) == want["key"]
+        rules = [parse_gml_rule(asset_text(n))
+                 for n in ("wye_to_delta.gml", "delta_to_wye.gml")]
+        visited = explore([g], rules, "bfs", 2, key=canonical_key).visited
+        assert sorted(visited) == want["explored"]
+
+
+class TestSymmetricMolecules:
+    @pytest.mark.parametrize("name", sorted(CLIFFS))
+    def test_cliff_molecule_invariant_under_permutation(self, name):
+        m = prep(CLIFFS[name])
+        smiles, key = canonical_smiles(m), canonical_key(m.graph)
+        assert fill_hydrogens(parse_smiles(smiles)[0]).graph.node_count == m.graph.node_count
+        rng = Random(name)
+        for _ in range(5):
+            p = permuted(m, rng)
+            assert canonical_smiles(p) == smiles
+            assert canonical_key(p.graph) == key
+
+    @pytest.mark.parametrize("name", sorted(PINNED["cliff_smiles"]))
+    def test_pinned_smiles(self, name):
+        want = PINNED["cliff_smiles"][name]
+        assert canonical_smiles(prep(want["smiles_in"])) == want["smiles"]
+
+
+class TestRefinementBlindPairs:
+    """Pairs whose vertices all look alike to colour refinement: only the
+    individualization search can tell them apart."""
+
+    def test_prism_vs_k33(self):
+        prism = PINNED["ydelta"]["prism"]
+        k33 = PINNED["ydelta"]["K3,3"]
+        assert (canonical_key(unlabeled(prism["nodes"], prism["edges"]))
+                != canonical_key(unlabeled(k33["nodes"], k33["edges"])))
+
+    def test_hexagon_vs_two_triangles(self):
+        c6 = unlabeled(6, [(i, (i + 1) % 6) for i in range(6)])
+        triangles = unlabeled(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert canonical_key(c6) != canonical_key(triangles)
+
+    def test_cyclohexane_vs_two_cyclopropanes(self):
+        hexane = prep("C1CCCCC1").graph
+        both, _ = disjoint_union([prep("C1CC1").graph, prep("C1CC1").graph])
+        assert canonical_key(hexane) != canonical_key(both)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_long_chain_needs_no_recursion_limit(monkeypatch):
+    chain = prep("C" * 300)
+    old = sys.getrecursionlimit()
+    low = _stack_depth() + 100
+    sys.setrecursionlimit(low)
+    try:
+        def refuse(limit):
+            raise AssertionError("canonical_smiles changed the recursion limit")
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert canonical_smiles(chain) == "C" * 300
+        assert sys.getrecursionlimit() == low
+    finally:
+        monkeypatch.undo()
+        sys.setrecursionlimit(old)

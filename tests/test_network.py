@@ -31,11 +31,9 @@ class TestFormoseGrowth:
         assert formose_net5.molecules["C(=CO)O"][1] == 1
 
     @pytest.mark.slow
-    def test_sixth_iteration(self, formose_rules, formose_inputs):
-        net = expand(formose_inputs, formose_rules,
-                     ExpansionConfig(iterations=6))
-        assert net.stats()[6] == (6, 10572, 11239)
-        assert sum(net.elapsed.values()) < 600.0
+    def test_sixth_iteration(self, formose_net6):
+        assert formose_net6.stats()[6] == (6, 10572, 11239)
+        assert sum(formose_net6.elapsed.values()) < 600.0
 
 
 class TestNetworkInvariants:

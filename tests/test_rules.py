@@ -189,6 +189,17 @@ class TestApply:
         distinct = apply_all(diels_alder_rule, host, dedup=True)
         assert len(distinct) == 2
 
+    @pytest.mark.parametrize("smiles", ["C=CC(C)=C.C=CC", "C=CC=CC=CC=CC=C.C=CC.C=C"])
+    def test_dedup_keeps_what_a_pairwise_scan_keeps(self, diels_alder_rule, smiles):
+        host, _ = disjoint_union([fill_hydrogens(m).graph for m in parse_smiles(smiles)])
+        kept: list = []
+        for res in apply_all(diels_alder_rule, host):
+            if not any(are_isomorphic(res.graph, k.graph) for k in kept):
+                kept.append(res)
+        distinct = apply_all(diels_alder_rule, host, dedup=True)
+        assert [r.match for r in distinct] == [r.match for r in kept]
+        assert [r.graph for r in distinct] == [r.graph for r in kept]
+
     def test_reporter_can_stop(self, diels_alder_rule):
         host, _ = disjoint_union([mol_graph("C=CC(C)=C"), mol_graph("C=CC")])
         seen = []
