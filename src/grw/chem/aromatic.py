@@ -93,7 +93,7 @@ def kekulize(m: Molecule) -> Molecule:
         else:
             labels.append(g.label(v))
     edges = [(u, v, relabel_edges.get((u, v), lbl)) for u, v, lbl in g.edges()]
-    return Molecule(LabeledGraph.from_parts(labels, edges), dict(m.explicit_h),
+    return Molecule(LabeledGraph._build(labels, edges), dict(m.explicit_h),
                     filled=m.filled)
 
 
@@ -175,5 +175,5 @@ def perceive_aromaticity(m: Molecule) -> Molecule:
             labels.append(kg.label(v))
     edges = [(u, v, ":" if (u, v) in arom_bonds else lbl)
              for u, v, lbl in kg.edges()]
-    return Molecule(LabeledGraph.from_parts(labels, edges), dict(kek.explicit_h),
+    return Molecule(LabeledGraph._build(labels, edges), dict(kek.explicit_h),
                     filled=kek.filled)

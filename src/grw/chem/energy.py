@@ -9,7 +9,7 @@ automorphism so a symmetric fragment is not double-counted per site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..match import find_monomorphisms
 from .molecule import ChemError, Molecule

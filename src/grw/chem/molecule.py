@@ -86,7 +86,7 @@ def fill_hydrogens(m: Molecule) -> Molecule:
             labels.append("H")
             edges.append((v, len(labels) - 1, "-"))
             added += 1
-    graph = LabeledGraph.from_parts(labels, edges) if added else m.graph
+    graph = LabeledGraph._build(labels, edges) if added else m.graph
     return Molecule(graph, {}, filled=True)
 
 

@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .core import GmlError, LabeledGraph, disjoint_union, parse_gml_graph, \
+from .core import GmlError, disjoint_union, parse_gml_graph, \
     write_gml_graph, connected_components
 from .match import canonical_key
 from .rules import RuleGraph, apply_all, explore, parse_gml_rule
@@ -23,7 +23,7 @@ from . import demos, network
 from .chem import (ChemError, GroupRegistry, Molecule, canonical_smiles,
                    check_chem_rule, fill_hydrogens, load_energy_model,
                    parse_gml_groups, parse_smiles, perceive_aromaticity,
-                   perceive_rings, sanity_check, RateParams)
+                   sanity_check, RateParams)
 
 EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN = 0, 1, 2, 3
 

@@ -5,6 +5,14 @@ self-loops, no parallel edges) whose nodes and edges both carry non-empty
 string labels.  Node ids are dense integers ``0..n-1`` internally; graphs
 parsed from GML remember the external ids they were declared with so that
 error messages and round-trips can speak the caller's language.
+
+Graphs are built in two layers.  :meth:`LabeledGraph.from_parts` is the
+validating boundary for parts that come from outside (callers, SMILES
+and GML parsers): it checks every label and edge, then hands the
+normalised edges to the private ``LabeledGraph._build``.  ``_build``
+trusts its input and is only for parts already known to be valid, such
+as graphs derived from existing graphs by unions, components and
+rewrites; it sorts the edges once and fills the adjacency in one pass.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ def _normalize(u: int, v: int) -> tuple[int, int]:
 class LabeledGraph:
     """An immutable simple undirected graph with node and edge labels.
 
-    Construct with :meth:`from_parts`; instances should not be mutated.
+    Construct with :meth:`from_parts`; instances should not be mutated,
+    since derived graphs (:meth:`with_labels`, a graph's only connected
+    component) share their edge and adjacency maps with their source.
     Structural equality compares labels and edge sets, ignoring the
     external-id side map.
     """
@@ -47,13 +57,22 @@ class LabeledGraph:
     def from_parts(cls, labels: Sequence[str],
                    edges: Iterable[tuple[int, int, str]],
                    ext_ids: Sequence[int] | None = None) -> "LabeledGraph":
+        """Validate the parts and build the graph.
+
+        This is the public, validating boundary: every node label must be
+        a non-empty string, every edge must join two distinct known nodes
+        with a non-empty string label, no node pair may carry two edges,
+        and ``ext_ids`` (default ``0..n-1``) must have one entry per node.
+        Any violation raises :class:`ValueError`.  Edges may be given in
+        any order and orientation.  The checked parts go to :meth:`_build`,
+        which code deriving a graph from already-valid parts calls directly.
+        """
         labels = tuple(labels)
         n = len(labels)
         for i, lbl in enumerate(labels):
             if not isinstance(lbl, str) or lbl == "":
                 raise ValueError(f"node {i} has an empty or non-string label")
         edge_map: dict[tuple[int, int], str] = {}
-        adj: list[dict[int, str]] = [dict() for _ in range(n)]
         for u, v, lbl in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
@@ -65,18 +84,35 @@ class LabeledGraph:
             if key in edge_map:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             edge_map[key] = lbl
+        if ext_ids is not None:
+            ext_ids = tuple(ext_ids)
+            if len(ext_ids) != n:
+                raise ValueError("ext_ids length does not match node count")
+        return cls._build(labels, [(u, v, lbl) for (u, v), lbl in edge_map.items()],
+                          ext_ids)
+
+    @classmethod
+    def _build(cls, labels: Sequence[str], edges: Iterable[tuple[int, int, str]],
+               ext_ids: Sequence[int] | None = None) -> "LabeledGraph":
+        """Build from parts already known to be valid; nothing is checked.
+
+        ``edges`` must be distinct ``(u, v, label)`` triples with
+        ``0 <= u < v < len(labels)`` and non-empty labels.  They are
+        sorted once (linear on sorted input); walking the sorted pairs
+        then leaves every adjacency map in ascending neighbour order,
+        since node ``x`` meets its smaller neighbours as ``(u, x)`` before
+        its larger ones as ``(x, v)``.
+        """
+        labels = tuple(labels)
+        n = len(labels)
+        edge_map: dict[tuple[int, int], str] = {}
+        adj: tuple[dict[int, str], ...] = tuple({} for _ in range(n))
+        for u, v, lbl in sorted(edges):
+            edge_map[u, v] = lbl
             adj[u][v] = lbl
             adj[v][u] = lbl
-        # Sort adjacency for deterministic iteration regardless of insert order.
-        adj_sorted = tuple({k: d[k] for k in sorted(d)} for d in adj)
-        edge_sorted = {k: edge_map[k] for k in sorted(edge_map)}
-        if ext_ids is None:
-            ext = tuple(range(n))
-        else:
-            ext = tuple(ext_ids)
-            if len(ext) != n:
-                raise ValueError("ext_ids length does not match node count")
-        return cls(labels, edge_sorted, adj_sorted, ext)
+        ext = tuple(range(n)) if ext_ids is None else tuple(ext_ids)
+        return cls(labels, edge_map, adj, ext)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -124,11 +160,19 @@ class LabeledGraph:
     # -- derived graphs ----------------------------------------------------
 
     def with_labels(self, changes: dict[int, str]) -> "LabeledGraph":
-        """Copy of the graph with some node labels replaced."""
+        """Copy of the graph with some node labels replaced.
+
+        Raises :class:`ValueError` for an unknown node or an empty or
+        non-string label.  The copy shares this graph's (immutable) edges.
+        """
         labels = list(self._labels)
         for v, lbl in changes.items():
+            if not 0 <= v < len(labels):
+                raise ValueError(f"node {v} is not in the graph")
+            if not isinstance(lbl, str) or lbl == "":
+                raise ValueError(f"node {v} has an empty or non-string label")
             labels[v] = lbl
-        return LabeledGraph.from_parts(labels, list(self.edges()), self._ext_ids)
+        return LabeledGraph(labels, self._edges, self._adj, self._ext_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -383,11 +427,12 @@ def disjoint_union(graphs: Sequence[LabeledGraph]) -> tuple[LabeledGraph, tuple[
     offset = 0
     for gi, g in enumerate(graphs):
         labels.extend(g.node_labels)
-        for u, v, lbl in g.edges():
-            edges.append((u + offset, v + offset, lbl))
+        # Offsetting keeps each graph's edges sorted, and later graphs'
+        # edges sort after earlier ones, so the list stays sorted.
+        edges.extend((u + offset, v + offset, lbl) for (u, v), lbl in g._edges.items())
         origin.extend((gi, v) for v in g.nodes())
         offset += g.node_count
-    return LabeledGraph.from_parts(labels, edges), tuple(origin)
+    return LabeledGraph._build(labels, edges), tuple(origin)
 
 
 def connected_components(g: LabeledGraph) -> list[tuple[LabeledGraph, tuple[int, ...]]]:
@@ -395,26 +440,41 @@ def connected_components(g: LabeledGraph) -> list[tuple[LabeledGraph, tuple[int,
 
     Each component comes with the tuple of original node ids it was carved
     from (ascending); components are ordered by their smallest original id.
+    Components are numbered ``0..n-1`` (their ``ext_ids``), whatever ids
+    ``g`` was declared with.
     """
-    seen = [False] * g.node_count
-    components: list[tuple[LabeledGraph, tuple[int, ...]]] = []
-    for start in g.nodes():
-        if seen[start]:
+    n = g.node_count
+    adj = g._adj
+    comp_of = [-1] * n
+    members_of: list[list[int]] = []
+    for start in range(n):
+        if comp_of[start] >= 0:
             continue
+        c = len(members_of)
+        comp_of[start] = c
         stack = [start]
-        seen[start] = True
         members = [start]
         while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
+            for u in adj[stack.pop()]:
+                if comp_of[u] < 0:
+                    comp_of[u] = c
                     members.append(u)
                     stack.append(u)
         members.sort()
-        remap = {old: new for new, old in enumerate(members)}
-        labels = [g.label(old) for old in members]
-        edges = [(remap[u], remap[v], lbl)
-                 for u, v, lbl in g.edges() if u in remap and v in remap]
-        components.append((LabeledGraph.from_parts(labels, edges), tuple(members)))
-    return components
+        members_of.append(members)
+    if len(members_of) == 1:
+        # The whole graph is one component: share its immutable parts.
+        return [(LabeledGraph(g._labels, g._edges, adj, tuple(range(n))),
+                 tuple(members_of[0]))]
+    local = [0] * n
+    for members in members_of:
+        for i, v in enumerate(members):
+            local[v] = i
+    # One pass over the sorted edges; the renumbering is monotone within
+    # each component, so every bucket stays sorted.
+    buckets: list[list[tuple[int, int, str]]] = [[] for _ in members_of]
+    for (u, v), lbl in g._edges.items():
+        buckets[comp_of[u]].append((local[u], local[v], lbl))
+    labels = g._labels
+    return [(LabeledGraph._build([labels[v] for v in members], bucket), tuple(members))
+            for members, bucket in zip(members_of, buckets)]

@@ -18,10 +18,10 @@ import time
 from dataclasses import dataclass, field
 
 from .core import LabeledGraph, connected_components, disjoint_union
-from .match import Pattern, _satisfies, find_monomorphisms
-from .rules import RuleGraph, apply as apply_rule
+from .match import Pattern, _constraint_nodes, _satisfies, find_monomorphisms
+from .rules import RuleGraph, _remap_constraint, apply as apply_rule
 from .chem.energy import EnergyModel, RateParams, estimate_energy, reaction_rate
-from .chem.molecule import Molecule, molecular_formula, sanity_check
+from .chem.molecule import Molecule, sanity_check
 from .chem.aromatic import KekulizationError, perceive_aromaticity
 from .chem.smiles import canonical_smiles
 
@@ -103,9 +103,8 @@ def _compile_rule(rule: RuleGraph) -> _CompiledRule:
         mem_set = set(mem)
         local = []
         for c in pattern.constraints:
-            refs = _constraint_nodes(c)
-            if refs <= mem_set:
-                local.append(_localize(c, {p: i for i, p in enumerate(mem)}))
+            if set(_constraint_nodes(c)) <= mem_set:
+                local.append(_remap_constraint(c, {p: i for i, p in enumerate(mem)}))
                 claimed.append(c)
         comp_patterns.append(Pattern(sub, tuple(local), pattern.wildcard))
         members.append(mem)
@@ -115,19 +114,6 @@ def _compile_rule(rule: RuleGraph) -> _CompiledRule:
 
 def _in_list(c, seen: list) -> bool:
     return any(c is s for s in seen)
-
-
-def _constraint_nodes(c) -> set[int]:
-    if hasattr(c, "node"):
-        return {c.node}
-    return {c.source, c.target}
-
-
-def _localize(c, mapping: dict[int, int]):
-    from dataclasses import replace
-    if hasattr(c, "node"):
-        return replace(c, node=mapping[c.node])
-    return replace(c, source=mapping[c.source], target=mapping[c.target])
 
 
 def expand(inputs: list[Molecule], rules: list[RuleGraph],

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from .core import GmlError, LabeledGraph, TokenStream, _normalize
-from .match import (Adjacency, EdgeLabel, MatchConstraint, NodeDegree,
-                    NodeLabel, NoEdge, Pattern, are_isomorphic,
-                    find_monomorphisms, refinement_invariant)
+from .match import (Adjacency, MatchConstraint, NodeDegree, NodeLabel,
+                    NoEdge, Pattern, are_isomorphic, find_monomorphisms,
+                    refinement_invariant)
 
 log = logging.getLogger(__name__)
 
@@ -350,10 +350,20 @@ def apply(rule: RuleGraph, host: LabeledGraph, match: Sequence[int]) -> RewriteR
     right label.  Addition: right-only nodes enter with fresh ids, then
     right-only edges; adding an edge that is already present raises
     :class:`ApplicationError`.
+
+    The match is checked first: it must have one entry per left-pattern
+    node, each a host node id (``0 <= v < host.node_count``), with no host
+    node used twice.  Otherwise :class:`ApplicationError` is raised.
     """
     pattern, ext_to_pid = rule.left_pattern()
     if len(match) != pattern.graph.node_count:
         raise ApplicationError("match length does not fit the rule's left pattern")
+    n = host.node_count
+    for v in match:
+        if not 0 <= v < n:
+            raise ApplicationError(f"match refers to host node {v}, which does not exist")
+    if len(set(match)) != len(match):
+        raise ApplicationError("match is not injective: a host node is used twice")
     img = {ext: match[pid] for ext, pid in ext_to_pid.items()}
 
     deleted: set[int] = set()
@@ -375,25 +385,26 @@ def apply(rule: RuleGraph, host: LabeledGraph, match: Sequence[int]) -> RewriteR
         elif ed.right != ed.left:
             edge_relabel[key] = ed.right
 
-    survivors = [v for v in host.nodes() if v not in deleted]
-    new_nodes = [nd for nd in rule.nodes if nd.left is None]
-    remap = {old: i for i, old in enumerate(survivors)}
-    labels = [node_relabel.get(v, host.label(v)) for v in survivors]
-    origin = list(survivors)
-    for j, nd in enumerate(new_nodes):
-        img[nd.id] = host.node_count + j  # fresh id above the host maximum
-        remap[host.node_count + j] = len(labels)
+    labels = list(host.node_labels)
+    for v, lbl in node_relabel.items():
+        labels[v] = lbl
+    origin = [v for v in host.nodes() if v not in deleted]
+    if deleted:
+        labels = [labels[v] for v in origin]
+    for j, nd in enumerate(nd for nd in rule.nodes if nd.left is None):
+        img[nd.id] = n + j  # fresh id above the host maximum
         labels.append(nd.right)
-        origin.append(host.node_count + j)
+        origin.append(n + j)
 
-    edges: dict[tuple[int, int], str] = {}
-    for u, v, lbl in host.edges():
-        if u in deleted or v in deleted:
-            continue
-        key = (u, v)
-        if key in killed_edges:
-            continue
-        edges[key] = edge_relabel.get(key, lbl)
+    edges = dict(host._edges)
+    for v in deleted:
+        for u in host.neighbors(v):
+            edges.pop(_normalize(u, v), None)
+    for key in killed_edges:
+        edges.pop(key, None)
+    for key, lbl in edge_relabel.items():
+        if key in edges:
+            edges[key] = lbl
     for ed in rule.edges:
         if ed.left is not None or ed.right is None:
             continue
@@ -403,8 +414,15 @@ def apply(rule: RuleGraph, host: LabeledGraph, match: Sequence[int]) -> RewriteR
                 f"edge already exists between host nodes {key[0]} and {key[1]}")
         edges[key] = ed.right
 
-    dense_edges = [(remap[u], remap[v], lbl) for (u, v), lbl in edges.items()]
-    graph = LabeledGraph.from_parts(labels, dense_edges)
+    # Renumbering (survivors first, then fresh nodes) is monotone, so host
+    # edges stay sorted and normalised; _build merges in the created edges.
+    # Without deletions it is the identity.
+    if deleted:
+        remap = {old: new for new, old in enumerate(origin)}
+        dense_edges = [(remap[u], remap[v], lbl) for (u, v), lbl in edges.items()]
+    else:
+        dense_edges = [(u, v, lbl) for (u, v), lbl in edges.items()]
+    graph = LabeledGraph._build(labels, dense_edges)
     return RewriteResult(graph, rule, host, tuple(match), tuple(origin))
 
 

@@ -45,6 +45,28 @@ def permuted(m: Molecule, rng: Random) -> Molecule:
     return Molecule(LabeledGraph.from_parts(labels, edges), {}, filled=True)
 
 
+def assert_same_as_rebuild(g: LabeledGraph, ext_ids=None) -> None:
+    """``g`` is identical to a validated ``from_parts`` build of its parts.
+
+    The parts are handed over shuffled and with random edge orientation,
+    so the rebuild does its own sorting; node labels, edge order,
+    neighbour order of every node and external ids (``0..n-1`` unless
+    ``ext_ids`` is given) must all agree.
+    """
+    rng = Random(g.node_count * 1009 + g.edge_count)
+    edges = [(v, u, lbl) if rng.random() < 0.5 else (u, v, lbl)
+             for u, v, lbl in g.edges()]
+    rng.shuffle(edges)
+    ref = LabeledGraph.from_parts(g.node_labels, edges, ext_ids)
+    assert g.node_labels == ref.node_labels
+    assert list(g.edges()) == list(ref.edges())
+    assert [list(g.neighbors(v).items()) for v in g.nodes()] == \
+        [list(ref.neighbors(v).items()) for v in ref.nodes()]
+    assert g.ext_ids == ref.ext_ids
+    assert list(g.edges()) == sorted(g.edges())
+    assert all(list(g.neighbors(v)) == sorted(g.neighbors(v)) for v in g.nodes())
+
+
 @pytest.fixture(scope="session")
 def formose_rules() -> list[RuleGraph]:
     return [load_rule(n) for n in

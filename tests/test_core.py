@@ -10,6 +10,7 @@ from grw import (GmlError, LabeledGraph, connected_components, disjoint_union,
                  parse_gml_graph, write_gml_graph)
 from grw.chem import fill_hydrogens, parse_smiles
 
+from conftest import assert_same_as_rebuild
 from oracles import random_graph
 
 TRIANGLE = LabeledGraph.from_parts(
@@ -30,20 +31,54 @@ class TestLabeledGraph:
         assert dict(g.neighbors(1)) == {0: "x", 2: "y"}
 
     def test_from_parts_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            LabeledGraph.from_parts(["A", ""], [])
-        with pytest.raises(ValueError):
-            LabeledGraph.from_parts(["A"], [(0, 0, "x")])
-        with pytest.raises(ValueError):
-            LabeledGraph.from_parts(["A", "B"], [(0, 1, "x"), (1, 0, "y")])
-        with pytest.raises(ValueError):
-            LabeledGraph.from_parts(["A"], [(0, 1, "x")])
+        cases = [
+            (["A", ""], [], None, "node 1 has an empty or non-string label"),
+            (["A", 7], [], None, "node 1 has an empty or non-string label"),
+            (["A"], [(0, 1, "x")], None, "edge (0, 1) references an unknown node"),
+            (["A", "B"], [(-1, 1, "x")], None, "edge (-1, 1) references an unknown node"),
+            (["A"], [(0, 0, "x")], None, "self-loop on node 0 is not allowed"),
+            (["A", "B"], [(0, 1, "")], None, "edge (0, 1) has an empty label"),
+            (["A", "B"], [(0, 1, "x"), (1, 0, "y")], None, "duplicate edge (1, 0)"),
+            (["A", "B"], [(0, 1, "x")], [5], "ext_ids length does not match node count"),
+        ]
+        for labels, edges, ext_ids, message in cases:
+            with pytest.raises(ValueError) as err:
+                LabeledGraph.from_parts(labels, edges, ext_ids)
+            assert str(err.value) == message
+
+    def test_from_parts_sorts_edges_and_neighbours(self):
+        g = LabeledGraph.from_parts(["A", "B", "C", "D"],
+                                    [(3, 0, "a"), (2, 1, "b"), (0, 2, "c"), (1, 0, "d")])
+        assert list(g.edges()) == [(0, 1, "d"), (0, 2, "c"), (0, 3, "a"), (1, 2, "b")]
+        assert [list(g.neighbors(v)) for v in g.nodes()] == [[1, 2, 3], [0, 2], [0, 1], [0]]
 
     def test_with_labels_is_functional(self):
         g = TRIANGLE.with_labels({0: "Q"})
         assert g.label(0) == "Q"
         assert TRIANGLE.label(0) == "A"
         assert list(g.edges()) == list(TRIANGLE.edges())
+
+    @pytest.mark.parametrize("changes, message", [
+        ({0: ""}, "node 0 has an empty or non-string label"),
+        ({3: "Q"}, "node 3 is not in the graph"),
+        ({-1: "Q"}, "node -1 is not in the graph"),
+    ])
+    def test_with_labels_rejects_bad_changes(self, changes, message):
+        with pytest.raises(ValueError) as err:
+            TRIANGLE.with_labels(changes)
+        assert str(err.value) == message
+
+    def test_with_labels_matches_a_rebuild(self):
+        rng = Random(11)
+        for _ in range(25):
+            r = random_graph(rng, 8, ["A", "B"], ["-", "="], edge_p=0.4)
+            g = LabeledGraph.from_parts(r.node_labels, list(r.edges()),
+                                        [10 * v + 10 for v in r.nodes()])
+            changes = {v: rng.choice(["A", "B", "Q"]) for v in g.nodes() if rng.random() < 0.4}
+            h = g.with_labels(changes)
+            assert_same_as_rebuild(h, g.ext_ids)
+            assert [h.label(v) for v in h.nodes()] == \
+                [changes.get(v, g.label(v)) for v in g.nodes()]
 
 
 class TestGml:
@@ -110,6 +145,18 @@ class TestDisjointUnion:
             assert g.label(v) == p.label(orig)
             assert g.degree(v) == p.degree(orig)
 
+    def test_random_unions_match_a_rebuild(self):
+        rng = Random(3)
+        for _ in range(25):
+            parts = [random_graph(rng, 6, ["A", "B"], ["-", "="], edge_p=0.4)
+                     for _ in range(rng.randint(1, 3))]
+            g, origin = disjoint_union(parts)
+            assert_same_as_rebuild(g)
+            assert g.edge_count == sum(p.edge_count for p in parts)
+            for u, v, lbl in g.edges():
+                (gu, ou), (gv, ov) = origin[u], origin[v]
+                assert gu == gv and parts[gu].edge_label(ou, ov) == lbl
+
     def test_isoprene_plus_propene_is_22_atoms(self):
         iso = fill_hydrogens(parse_smiles("C=CC(C)=C")[0]).graph
         pro = fill_hydrogens(parse_smiles("C=CC")[0]).graph
@@ -149,3 +196,28 @@ class TestConnectedComponents:
                 assert sub.node_count == len(ids)
                 for i, v in enumerate(ids):
                     assert sub.label(i) == g.label(v)
+                assert_same_as_rebuild(sub)
+            assert sum(sub.edge_count for sub, _ in comps) == g.edge_count
+
+    def test_components_are_numbered_from_zero(self):
+        g = parse_gml_graph("""
+            graph [
+              node [ id 10 label "A" ]
+              node [ id 20 label "B" ]
+              node [ id 30 label "C" ]
+              edge [ source 10 target 20 label "-" ]
+              edge [ source 20 target 30 label "=" ]
+            ]""")
+        ((whole, ids),) = connected_components(g)
+        assert ids == (0, 1, 2) and whole.ext_ids == (0, 1, 2)
+        assert whole == g and g.ext_ids == (10, 20, 30)
+        assert_same_as_rebuild(whole)
+        split = parse_gml_graph("""
+            graph [
+              node [ id 10 label "A" ]
+              node [ id 20 label "B" ]
+              node [ id 30 label "C" ]
+              edge [ source 10 target 30 label "-" ]
+            ]""")
+        comps = connected_components(split)
+        assert [(sub.ext_ids, ids) for sub, ids in comps] == [((0, 1), (0, 2)), ((0,), (1,))]

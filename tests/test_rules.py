@@ -12,7 +12,7 @@ from grw import (ApplicationError, LabeledGraph, NoEdge, RuleEdge, RuleError,
                  reverse_rule)
 from grw.chem import fill_hydrogens, parse_smiles
 
-from conftest import asset_text
+from conftest import assert_same_as_rebuild, asset_text
 from oracles import dpo_oracle, graph_as_sets
 
 NODE_LABELS = ["A", "B", "C"]
@@ -166,6 +166,19 @@ class TestApply:
         with pytest.raises(ApplicationError):
             apply(rule, host, (0, 0))
 
+    @pytest.mark.parametrize("match, message", [
+        ((0, 0), "not injective"),
+        ((0, 5), "host node 5, which does not exist"),
+        ((-1, 1), "host node -1, which does not exist"),
+    ])
+    def test_match_must_be_injective_and_in_range(self, match, message):
+        rule = RuleGraph("bond", [RuleNode(1, "A", "A"), RuleNode(2, "A", "A")],
+                         [RuleEdge(1, 2, None, "-")])
+        host = LabeledGraph.from_parts(["A", "A", "A"], [])
+        with pytest.raises(ApplicationError) as err:
+            apply(rule, host, match)
+        assert message in str(err.value)
+
     def test_apply_all_skips_colliding_matches(self, caplog):
         rule = RuleGraph("form", [RuleNode(1, "A", "A"), RuleNode(2, "A", "A")],
                          [RuleEdge(1, 2, None, "-")],
@@ -295,6 +308,7 @@ class TestDpoArithmetic:
                         got_edges[(min(a, b), max(a, b))] = lbl
                     assert got_nodes == want_nodes
                     assert got_edges == want_edges
+                    assert_same_as_rebuild(res.graph)
                 checked += 1
                 if checked >= 100:
                     break
