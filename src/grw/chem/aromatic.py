@@ -10,7 +10,7 @@ exactly the "de-aromatize" behavior needed after a rewrite breaks a ring.
 
 from __future__ import annotations
 
-from ..core import LabeledGraph
+from ..core import _edited
 from .atoms import AtomLabel, parse_atom_label, allowed_valences
 from .molecule import ChemError, Molecule, _bond_split
 from .rings import all_cycles
@@ -82,9 +82,6 @@ def kekulize(m: Molecule) -> Molecule:
     if not search(0):
         raise KekulizationError("no alternating single/double assignment exists")
 
-    relabel_edges = {}
-    for u, v in arom_edges:
-        relabel_edges[(u, v)] = "=" if matched.get(u) == v else "-"
     labels = []
     for v in g.nodes():
         atom = parse_atom_label(g.label(v))
@@ -92,8 +89,8 @@ def kekulize(m: Molecule) -> Molecule:
             labels.append(AtomLabel(atom.element, atom.charge, atom.cls, False).render())
         else:
             labels.append(g.label(v))
-    edges = [(u, v, relabel_edges.get((u, v), lbl)) for u, v, lbl in g.edges()]
-    return Molecule(LabeledGraph._build(labels, edges), dict(m.explicit_h),
+    bonds = [(u, v, "=" if matched.get(u) == v else "-") for u, v in arom_edges]
+    return Molecule(_edited(g, labels, g.nodes(), (), bonds), dict(m.explicit_h),
                     filled=m.filled)
 
 
@@ -132,7 +129,7 @@ def perceive_aromaticity(m: Molecule) -> Molecule:
     """Flag aromatic rings (4n+2 π electrons, size ≤ 7) with lowercase
     atoms and ":" bonds; de-aromatize rings that no longer qualify."""
     g = m.graph
-    has_arom = any(lbl == ":" for _, _, lbl in g.edges())
+    has_arom = any(":" in g.neighbors(v).values() for v in g.nodes())
     if not has_arom and g.edge_count == g.node_count - 1:
         return m  # connected acyclic molecule: nothing to perceive
 
@@ -173,7 +170,6 @@ def perceive_aromaticity(m: Molecule) -> Molecule:
             labels.append(AtomLabel(atom.element, atom.charge, atom.cls, True).render())
         else:
             labels.append(kg.label(v))
-    edges = [(u, v, ":" if (u, v) in arom_bonds else lbl)
-             for u, v, lbl in kg.edges()]
-    return Molecule(LabeledGraph._build(labels, edges), dict(kek.explicit_h),
+    bonds = [(u, v, ":") for u, v in arom_bonds]
+    return Molecule(_edited(kg, labels, kg.nodes(), (), bonds), dict(kek.explicit_h),
                     filled=kek.filled)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import LabeledGraph
+from ..core import LabeledGraph, _edited
 from .atoms import (AtomLabel, BOND_ORDERS, BOND_SYMBOLS, allowed_valences,
                     implicit_hydrogens, parse_atom_label)
 
@@ -66,8 +66,7 @@ def fill_hydrogens(m: Molecule) -> Molecule:
     implicit neighbors.  The operation is idempotent.
     """
     labels = list(m.graph.node_labels)
-    edges = [(u, v, lbl) for u, v, lbl in m.graph.edges()]
-    added = 0
+    added: list[tuple[int, int, str]] = []
     for v in m.graph.nodes():
         atom = parse_atom_label(m.graph.label(v))
         if atom is None:
@@ -84,9 +83,8 @@ def fill_hydrogens(m: Molecule) -> Molecule:
             missing = 0 if target is None else target
         for _ in range(max(0, missing)):
             labels.append("H")
-            edges.append((v, len(labels) - 1, "-"))
-            added += 1
-    graph = LabeledGraph._build(labels, edges) if added else m.graph
+            added.append((v, len(labels) - 1, "-"))
+    graph = _edited(m.graph, labels, m.graph.nodes(), (), added) if added else m.graph
     return Molecule(graph, {}, filled=True)
 
 

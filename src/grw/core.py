@@ -6,19 +6,18 @@ string labels.  Node ids are dense integers ``0..n-1`` internally; graphs
 parsed from GML remember the external ids they were declared with so that
 error messages and round-trips can speak the caller's language.
 
-Graphs are built in two layers.  :meth:`LabeledGraph.from_parts` is the
-validating boundary for parts that come from outside (callers, SMILES
-and GML parsers): it checks every label and edge, then hands the
-normalised edges to the private ``LabeledGraph._build``.  ``_build``
-trusts its input and is only for parts already known to be valid, such
-as graphs derived from existing graphs by unions, components and
-rewrites; it sorts the edges once and fills the adjacency in one pass.
+A graph stores each edge once per endpoint, in that node's adjacency
+mapping, and only this module reads or writes that store.
+:meth:`LabeledGraph.from_parts` validates parts that come from outside
+(callers, SMILES and GML parsers).  Graphs derived from valid graphs
+(unions, components, and edits through the private ``_edited``) copy or
+renumber adjacency mappings without re-checking them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GmlError(ValueError):
@@ -37,19 +36,20 @@ def _normalize(u: int, v: int) -> tuple[int, int]:
 class LabeledGraph:
     """An immutable simple undirected graph with node and edge labels.
 
-    Construct with :meth:`from_parts`; instances should not be mutated,
-    since derived graphs (:meth:`with_labels`, a graph's only connected
-    component) share their edge and adjacency maps with their source.
-    Structural equality compares labels and edge sets, ignoring the
-    external-id side map.
+    Construct with :meth:`from_parts`.  Each edge is stored once per
+    endpoint, in that node's adjacency mapping, and nowhere else.
+    Instances must not be mutated, and neither may the mapping
+    :meth:`neighbors` returns: it is the graph's own, and derived graphs
+    (:meth:`with_labels`, a graph's only connected component, rule
+    applications) share adjacency mappings with their source.  Structural
+    equality compares labels and edges, ignoring the external-id side map.
     """
 
-    __slots__ = ("_labels", "_edges", "_adj", "_ext_ids")
+    __slots__ = ("_labels", "_adj", "_ext_ids")
 
-    def __init__(self, labels: Sequence[str], edges: dict[tuple[int, int], str],
-                 adj: tuple[dict[int, str], ...], ext_ids: tuple[int, ...]):
+    def __init__(self, labels: Sequence[str], adj: tuple[dict[int, str], ...],
+                 ext_ids: tuple[int, ...]):
         self._labels = tuple(labels)
-        self._edges = edges
         self._adj = adj
         self._ext_ids = ext_ids
 
@@ -64,15 +64,14 @@ class LabeledGraph:
         with a non-empty string label, no node pair may carry two edges,
         and ``ext_ids`` (default ``0..n-1``) must have one entry per node.
         Any violation raises :class:`ValueError`.  Edges may be given in
-        any order and orientation.  The checked parts go to :meth:`_build`,
-        which code deriving a graph from already-valid parts calls directly.
+        any order and orientation.
         """
         labels = tuple(labels)
         n = len(labels)
         for i, lbl in enumerate(labels):
             if not isinstance(lbl, str) or lbl == "":
                 raise ValueError(f"node {i} has an empty or non-string label")
-        edge_map: dict[tuple[int, int], str] = {}
+        adj: tuple[dict[int, str], ...] = tuple({} for _ in range(n))
         for u, v, lbl in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
@@ -80,39 +79,14 @@ class LabeledGraph:
                 raise ValueError(f"self-loop on node {u} is not allowed")
             if not isinstance(lbl, str) or lbl == "":
                 raise ValueError(f"edge ({u}, {v}) has an empty label")
-            key = _normalize(u, v)
-            if key in edge_map:
+            if v in adj[u]:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            edge_map[key] = lbl
-        if ext_ids is not None:
-            ext_ids = tuple(ext_ids)
-            if len(ext_ids) != n:
-                raise ValueError("ext_ids length does not match node count")
-        return cls._build(labels, [(u, v, lbl) for (u, v), lbl in edge_map.items()],
-                          ext_ids)
-
-    @classmethod
-    def _build(cls, labels: Sequence[str], edges: Iterable[tuple[int, int, str]],
-               ext_ids: Sequence[int] | None = None) -> "LabeledGraph":
-        """Build from parts already known to be valid; nothing is checked.
-
-        ``edges`` must be distinct ``(u, v, label)`` triples with
-        ``0 <= u < v < len(labels)`` and non-empty labels.  They are
-        sorted once (linear on sorted input); walking the sorted pairs
-        then leaves every adjacency map in ascending neighbour order,
-        since node ``x`` meets its smaller neighbours as ``(u, x)`` before
-        its larger ones as ``(x, v)``.
-        """
-        labels = tuple(labels)
-        n = len(labels)
-        edge_map: dict[tuple[int, int], str] = {}
-        adj: tuple[dict[int, str], ...] = tuple({} for _ in range(n))
-        for u, v, lbl in sorted(edges):
-            edge_map[u, v] = lbl
             adj[u][v] = lbl
             adj[v][u] = lbl
-        ext = tuple(range(n)) if ext_ids is None else tuple(ext_ids)
-        return cls(labels, edge_map, adj, ext)
+        ext_ids = tuple(range(n) if ext_ids is None else ext_ids)
+        if len(ext_ids) != n:
+            raise ValueError("ext_ids length does not match node count")
+        return cls(labels, tuple(dict(sorted(nbrs.items())) for nbrs in adj), ext_ids)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -122,7 +96,7 @@ class LabeledGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     @property
     def node_labels(self) -> tuple[str, ...]:
@@ -143,19 +117,19 @@ class LabeledGraph:
         return len(self._adj[v])
 
     def neighbors(self, v: int) -> dict[int, str]:
-        """Neighbor -> edge label, in ascending neighbor order."""
+        """Neighbor -> edge label, in ascending neighbor order (read only)."""
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize(u, v) in self._edges
+        return 0 <= u < len(self._adj) and v in self._adj[u]
 
     def edge_label(self, u: int, v: int) -> str | None:
-        return self._edges.get(_normalize(u, v))
+        return self._adj[u].get(v) if 0 <= u < len(self._adj) else None
 
-    def edges(self) -> Iterator[tuple[int, int, str]]:
+    def edges(self) -> list[tuple[int, int, str]]:
         """Edges as (u, v, label) with u < v, ascending."""
-        for (u, v), lbl in self._edges.items():
-            yield u, v, lbl
+        return [(u, v, lbl) for u, nbrs in enumerate(self._adj)
+                for v, lbl in nbrs.items() if v > u]
 
     # -- derived graphs ----------------------------------------------------
 
@@ -172,17 +146,57 @@ class LabeledGraph:
             if not isinstance(lbl, str) or lbl == "":
                 raise ValueError(f"node {v} has an empty or non-string label")
             labels[v] = lbl
-        return LabeledGraph(labels, self._edges, self._adj, self._ext_ids)
+        return LabeledGraph(labels, self._adj, self._ext_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return self._labels == other._labels and self._edges == other._edges
+        return self._labels == other._labels and self._adj == other._adj
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"LabeledGraph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def _edited(host: LabeledGraph, labels: Sequence[str], keep: Sequence[int],
+            drop: Sequence[tuple[int, int]],
+            put: Sequence[tuple[int, int, str]]) -> LabeledGraph:
+    """The graph ``host`` becomes under a valid edit; nothing is checked.
+
+    The result has the host nodes in ``keep`` (ascending), then new nodes
+    that ``put`` calls ``host.node_count + j``, labelled by ``labels``.
+    Each ``(u, v)`` in ``drop`` must be a host edge; each ``(u, v, label)``
+    in ``put`` adds or relabels an edge of kept or new nodes.  Edges of
+    other nodes go with them; untouched mappings are shared with ``host``.
+    """
+    n = host.node_count
+    adj = list(host._adj)
+    adj.extend({} for _ in range(len(labels) - len(keep)))
+    for w in {w for edge in (*drop, *put) for w in edge[:2]}:
+        adj[w] = dict(adj[w])
+    for u, v in drop:
+        del adj[u][v], adj[v][u]
+    unsorted = set()
+    for u, v, lbl in put:
+        for a, b in ((u, v), (v, u)):
+            nbrs = adj[a]
+            # A new neighbour above the largest one keeps the order.
+            if b not in nbrs and nbrs and b < next(reversed(nbrs)):
+                unsorted.add(a)
+            nbrs[b] = lbl
+    for v in unsorted:
+        adj[v] = dict(sorted(adj[v].items()))
+    if len(keep) < n:
+        # Kept nodes, then new nodes: the renumbering is monotone, so
+        # every mapping stays in ascending order.
+        old = [*keep, *range(n, len(adj))]
+        new_id = [-1] * len(adj)
+        for i, v in enumerate(old):
+            new_id[v] = i
+        adj = [{new_id[u]: lbl for u, lbl in adj[v].items() if new_id[u] >= 0}
+               for v in old]
+    return LabeledGraph(labels, tuple(adj), tuple(range(len(labels))))
 
 
 # -- GML ------------------------------------------------------------------
@@ -422,17 +436,14 @@ def disjoint_union(graphs: Sequence[LabeledGraph]) -> tuple[LabeledGraph, tuple[
     pair ``(graph_index, node_id_in_that_graph)``.
     """
     labels: list[str] = []
-    edges: list[tuple[int, int, str]] = []
+    adj: list[dict[int, str]] = []
     origin: list[tuple[int, int]] = []
-    offset = 0
     for gi, g in enumerate(graphs):
-        labels.extend(g.node_labels)
-        # Offsetting keeps each graph's edges sorted, and later graphs'
-        # edges sort after earlier ones, so the list stays sorted.
-        edges.extend((u + offset, v + offset, lbl) for (u, v), lbl in g._edges.items())
+        offset = len(labels)
+        labels.extend(g._labels)
+        adj.extend({u + offset: lbl for u, lbl in nbrs.items()} for nbrs in g._adj)
         origin.extend((gi, v) for v in g.nodes())
-        offset += g.node_count
-    return LabeledGraph._build(labels, edges), tuple(origin)
+    return LabeledGraph(labels, tuple(adj), tuple(range(len(labels)))), tuple(origin)
 
 
 def connected_components(g: LabeledGraph) -> list[tuple[LabeledGraph, tuple[int, ...]]]:
@@ -464,17 +475,16 @@ def connected_components(g: LabeledGraph) -> list[tuple[LabeledGraph, tuple[int,
         members_of.append(members)
     if len(members_of) == 1:
         # The whole graph is one component: share its immutable parts.
-        return [(LabeledGraph(g._labels, g._edges, adj, tuple(range(n))),
-                 tuple(members_of[0]))]
+        return [(LabeledGraph(g._labels, adj, tuple(range(n))), tuple(members_of[0]))]
     local = [0] * n
     for members in members_of:
         for i, v in enumerate(members):
             local[v] = i
-    # One pass over the sorted edges; the renumbering is monotone within
-    # each component, so every bucket stays sorted.
-    buckets: list[list[tuple[int, int, str]]] = [[] for _ in members_of]
-    for (u, v), lbl in g._edges.items():
-        buckets[comp_of[u]].append((local[u], local[v], lbl))
+    # The renumbering is monotone within each component, so every
+    # renumbered mapping stays in ascending order.
     labels = g._labels
-    return [(LabeledGraph._build([labels[v] for v in members], bucket), tuple(members))
-            for members, bucket in zip(members_of, buckets)]
+    return [(LabeledGraph([labels[v] for v in members],
+                          tuple({local[u]: lbl for u, lbl in adj[v].items()} for v in members),
+                          tuple(range(len(members)))),
+             tuple(members))
+            for members in members_of]

@@ -10,7 +10,7 @@ restrict the host neighborhood of matched nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import LabeledGraph
@@ -80,10 +80,18 @@ class NodeDegree:
 MatchConstraint = NodeLabel | Adjacency | NoEdge | EdgeLabel | NodeDegree
 
 
-def _constraint_nodes(c: MatchConstraint) -> tuple[int, ...]:
+def constraint_nodes(c: MatchConstraint) -> tuple[int, ...]:
+    """The pattern nodes a constraint refers to."""
     if isinstance(c, (NodeLabel, Adjacency, NodeDegree)):
         return (c.node,)
     return (c.source, c.target)
+
+
+def remap_constraint(c: MatchConstraint, mapping: dict[int, int]) -> MatchConstraint:
+    """The constraint with every node it refers to renamed by ``mapping``."""
+    if isinstance(c, (NodeLabel, Adjacency, NodeDegree)):
+        return replace(c, node=mapping[c.node])
+    return replace(c, source=mapping[c.source], target=mapping[c.target])
 
 
 @dataclass
@@ -97,7 +105,7 @@ class Pattern:
     def __post_init__(self) -> None:
         n = self.graph.node_count
         for c in self.constraints:
-            for v in _constraint_nodes(c):
+            for v in constraint_nodes(c):
                 if not 0 <= v < n:
                     raise ValueError(f"constraint references unknown pattern node {v}")
             if isinstance(c, (NodeLabel, EdgeLabel)) and c.op not in _EQ_OPS:
@@ -110,8 +118,8 @@ class Pattern:
                 raise ValueError("EdgeLabel constraint requires the pattern edge to exist")
 
 
-def _satisfies(c: MatchConstraint, host: LabeledGraph, image: Sequence[int],
-               wildcard: str | None) -> bool:
+def satisfies(c: MatchConstraint, host: LabeledGraph, image: Sequence[int],
+              wildcard: str | None) -> bool:
     """Evaluate one constraint; every referenced pattern node must be mapped."""
     if isinstance(c, NodeLabel):
         ok = host.label(image[c.node]) in c.labels or (wildcard is not None and wildcard in c.labels)
@@ -143,7 +151,21 @@ def _satisfies(c: MatchConstraint, host: LabeledGraph, image: Sequence[int],
 def check_constraints(pattern: Pattern, host: LabeledGraph,
                       image: Sequence[int]) -> bool:
     """Evaluate all constraints of a completely mapped pattern."""
-    return all(_satisfies(c, host, image, pattern.wildcard) for c in pattern.constraints)
+    return all(satisfies(c, host, image, pattern.wildcard) for c in pattern.constraints)
+
+
+def is_monomorphism(pattern: Pattern, host: LabeledGraph, image: Sequence[int]) -> bool:
+    """Whether the injective ``image`` maps the pattern's node labels and
+    labelled edges onto ``host``, the pattern's wildcard matching any label.
+    Constraints are not evaluated (see :func:`check_constraints`)."""
+    pg, wc = pattern.graph, pattern.wildcard
+    if any(lbl != wc and host.label(image[p]) != lbl for p, lbl in enumerate(pg.node_labels)):
+        return False
+    for u, v, lbl in pg.edges():
+        hl = host.edge_label(image[u], image[v])
+        if hl is None or (lbl != wc and hl != lbl):
+            return False
+    return True
 
 
 def _search_order(g: LabeledGraph) -> list[int]:
@@ -201,7 +223,7 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph, host: LabeledGraph,
     # Constraints become checkable at the step where their last node is mapped.
     checks_at: list[list[MatchConstraint]] = [[] for _ in range(k)]
     for c in pattern.constraints:
-        last = max(step_of[v] for v in _constraint_nodes(c))
+        last = max(step_of[v] for v in constraint_nodes(c))
         checks_at[last].append(c)
 
     image = [-1] * k
@@ -243,7 +265,7 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph, host: LabeledGraph,
                 continue
             image[p] = h
             used[h] = True
-            if all(_satisfies(c, host, image, wc) for c in checks_at[t]):
+            if all(satisfies(c, host, image, wc) for c in checks_at[t]):
                 extend(t + 1)
             used[h] = False
             image[p] = -1
@@ -457,14 +479,15 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
     return best
 
 
-def _serialize_by_rank(g: LabeledGraph, rank: list[int]) -> str:
+def _serialize_by_rank(g: LabeledGraph, edges: list[tuple[int, int, str]],
+                       rank: list[int]) -> str:
     by_rank = [0] * g.node_count
     for v, r in enumerate(rank):
         by_rank[r] = v
     labels = ",".join(g.label(v) for v in by_rank)
-    edges = sorted((rank[u], rank[v], lbl) if rank[u] < rank[v] else (rank[v], rank[u], lbl)
-                   for u, v, lbl in g.edges())
-    etxt = ";".join(f"{a}-{b}:{lbl}" for a, b, lbl in edges)
+    ranked = sorted((rank[u], rank[v], lbl) if rank[u] < rank[v] else (rank[v], rank[u], lbl)
+                    for u, v, lbl in edges)
+    etxt = ";".join(f"{a}-{b}:{lbl}" for a, b, lbl in ranked)
     return f"{g.node_count}|{labels}|{etxt}"
 
 
@@ -472,8 +495,9 @@ def _coded(g: LabeledGraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """Neighbour lists with edge labels coded by their rank in sorted
     order, and node labels ranked the same way as initial colours."""
     node_rank = {lbl: i for i, lbl in enumerate(sorted(set(g.node_labels)))}
-    edge_rank = {lbl: i for i, lbl in enumerate(sorted({lbl for _, _, lbl in g.edges()}))}
-    adj = [[(u, edge_rank[lbl]) for u, lbl in g.neighbors(v).items()] for v in g.nodes()]
+    nbrs = [g.neighbors(v) for v in g.nodes()]
+    edge_rank = {lbl: i for i, lbl in enumerate(sorted({e for a in nbrs for e in a.values()}))}
+    adj = [[(u, edge_rank[lbl]) for u, lbl in a.items()] for a in nbrs]
     return adj, [node_rank[lbl] for lbl in g.node_labels]
 
 
@@ -499,4 +523,5 @@ def canonical_key(g: LabeledGraph) -> str:
     if g.node_count == 0:
         return "0||"
     adj, colors = _coded(g)
-    return canonical_form(adj, colors, lambda rank: _serialize_by_rank(g, rank))
+    edges = g.edges()
+    return canonical_form(adj, colors, lambda rank: _serialize_by_rank(g, edges, rank))

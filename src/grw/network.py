@@ -15,11 +15,12 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import LabeledGraph, connected_components, disjoint_union
-from .match import Pattern, _constraint_nodes, _satisfies, find_monomorphisms
-from .rules import RuleGraph, _remap_constraint, apply as apply_rule
+from .match import Pattern, constraint_nodes, find_monomorphisms, remap_constraint, satisfies
+from .rules import RuleGraph, apply as apply_rule
 from .chem.energy import EnergyModel, RateParams, estimate_energy, reaction_rate
 from .chem.molecule import Molecule, sanity_check
 from .chem.aromatic import KekulizationError, perceive_aromaticity
@@ -76,12 +77,11 @@ class ReactionNetwork:
     def stats(self) -> list[tuple[int, int, int]]:
         """Cumulative (iteration, molecules, reactions) rows, iteration 0
         holding the seeds."""
-        rows = []
-        for i in range(self.iterations + 1):
-            mols = sum(1 for _, it in self.molecules.values() if it <= i)
-            rxns = sum(1 for r in self.reactions if r.iteration <= i)
-            rows.append((i, mols, rxns))
-        return rows
+        its = range(self.iterations + 1)
+        mols = Counter(it for _, it in self.molecules.values())
+        rxns = Counter(r.iteration for r in self.reactions)
+        return list(zip(its, itertools.accumulate(mols[i] for i in its),
+                        itertools.accumulate(rxns[i] for i in its)))
 
 
 @dataclass
@@ -103,8 +103,8 @@ def _compile_rule(rule: RuleGraph) -> _CompiledRule:
         mem_set = set(mem)
         local = []
         for c in pattern.constraints:
-            if set(_constraint_nodes(c)) <= mem_set:
-                local.append(_remap_constraint(c, {p: i for i, p in enumerate(mem)}))
+            if set(constraint_nodes(c)) <= mem_set:
+                local.append(remap_constraint(c, {p: i for i, p in enumerate(mem)}))
                 claimed.append(c)
         comp_patterns.append(Pattern(sub, tuple(local), pattern.wildcard))
         members.append(mem)
@@ -178,7 +178,7 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
                             match[pat_node] = picks[j][local_idx] + offsets[j]
                     match = tuple(match)
                     if cr.cross and not all(
-                            _satisfies(c, union, match, cr.pattern.wildcard)
+                            satisfies(c, union, match, cr.pattern.wildcard)
                             for c in cr.cross):
                         continue
                     _process_match(cr, union, match, combo, i, cfg, net,

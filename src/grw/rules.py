@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
-from .core import GmlError, LabeledGraph, TokenStream, _normalize
-from .match import (Adjacency, MatchConstraint, NodeDegree, NodeLabel,
-                    NoEdge, Pattern, are_isomorphic, find_monomorphisms,
-                    refinement_invariant)
+from .core import GmlError, LabeledGraph, TokenStream, _edited, _normalize
+from .match import (Adjacency, MatchConstraint, NodeLabel, NoEdge, Pattern,
+                    are_isomorphic, constraint_nodes, find_monomorphisms,
+                    is_monomorphism, refinement_invariant, remap_constraint)
 
 log = logging.getLogger(__name__)
 
@@ -97,9 +97,7 @@ class RuleGraph:
                                 f"but node {end} is absent there")
         left_ids = {nd.id for nd in self.nodes if nd.left is not None}
         for c in self.constraints:
-            refs = (c.node,) if isinstance(c, (NodeLabel, Adjacency, NodeDegree)) \
-                else (c.source, c.target)
-            for r in refs:
+            for r in constraint_nodes(c):
                 if r not in left_ids:
                     raise RuleError(f"constraint references node {r}, which is not matched "
                                     f"on the left side")
@@ -116,18 +114,12 @@ class RuleGraph:
                      for ed in self.edges if ed.left is not None]
             graph = LabeledGraph.from_parts(labels, edges,
                                             ext_ids=[nd.id for nd in left_nodes])
-            constraints = [_remap_constraint(c, ext_to_pid) for c in self.constraints]
+            constraints = [remap_constraint(c, ext_to_pid) for c in self.constraints]
             self._pattern_cache = (Pattern(graph, constraints, self.wildcard), ext_to_pid)
         return self._pattern_cache
 
     def __repr__(self) -> str:
         return f"RuleGraph({self.rule_id!r}, {len(self.nodes)} nodes, {len(self.edges)} edges)"
-
-
-def _remap_constraint(c: MatchConstraint, mapping: dict[int, int]) -> MatchConstraint:
-    if isinstance(c, (NodeLabel, Adjacency, NodeDegree)):
-        return replace(c, node=mapping[c.node])
-    return replace(c, source=mapping[c.source], target=mapping[c.target])
 
 
 def reverse_rule(rule: RuleGraph, rule_id: str | None = None) -> RuleGraph:
@@ -353,7 +345,9 @@ def apply(rule: RuleGraph, host: LabeledGraph, match: Sequence[int]) -> RewriteR
 
     The match is checked first: it must have one entry per left-pattern
     node, each a host node id (``0 <= v < host.node_count``), with no host
-    node used twice.  Otherwise :class:`ApplicationError` is raised.
+    node used twice, and it must map the left pattern's node labels and
+    edges onto the host (:func:`grw.match.is_monomorphism`; constraints
+    are not evaluated).  Otherwise :class:`ApplicationError` is raised.
     """
     pattern, ext_to_pid = rule.left_pattern()
     if len(match) != pattern.graph.node_count:
@@ -364,66 +358,42 @@ def apply(rule: RuleGraph, host: LabeledGraph, match: Sequence[int]) -> RewriteR
             raise ApplicationError(f"match refers to host node {v}, which does not exist")
     if len(set(match)) != len(match):
         raise ApplicationError("match is not injective: a host node is used twice")
+    if not is_monomorphism(pattern, host, match):
+        raise ApplicationError("match does not map the rule's left pattern into the host")
     img = {ext: match[pid] for ext, pid in ext_to_pid.items()}
 
+    labels = list(host.node_labels)
     deleted: set[int] = set()
-    node_relabel: dict[int, str] = {}
     for nd in rule.nodes:
         if nd.left is not None and nd.right is None:
             deleted.add(img[nd.id])
         elif nd.left is not None and nd.right != nd.left:
-            node_relabel[img[nd.id]] = nd.right
-
-    killed_edges: set[tuple[int, int]] = set()
-    edge_relabel: dict[tuple[int, int], str] = {}
-    for ed in rule.edges:
-        if ed.left is None:
-            continue
-        key = _normalize(img[ed.source], img[ed.target])
-        if ed.right is None:
-            killed_edges.add(key)
-        elif ed.right != ed.left:
-            edge_relabel[key] = ed.right
-
-    labels = list(host.node_labels)
-    for v, lbl in node_relabel.items():
-        labels[v] = lbl
-    origin = [v for v in host.nodes() if v not in deleted]
+            labels[img[nd.id]] = nd.right
+    keep = [v for v in host.nodes() if v not in deleted]
     if deleted:
-        labels = [labels[v] for v in origin]
-    for j, nd in enumerate(nd for nd in rule.nodes if nd.left is None):
+        labels = [labels[v] for v in keep]
+    fresh = [nd for nd in rule.nodes if nd.left is None]
+    for j, nd in enumerate(fresh):
         img[nd.id] = n + j  # fresh id above the host maximum
         labels.append(nd.right)
-        origin.append(n + j)
 
-    edges = dict(host._edges)
-    for v in deleted:
-        for u in host.neighbors(v):
-            edges.pop(_normalize(u, v), None)
-    for key in killed_edges:
-        edges.pop(key, None)
-    for key, lbl in edge_relabel.items():
-        if key in edges:
-            edges[key] = lbl
+    drop: list[tuple[int, int]] = []
+    put: list[tuple[int, int, str]] = []
     for ed in rule.edges:
-        if ed.left is not None or ed.right is None:
-            continue
-        key = _normalize(img[ed.source], img[ed.target])
-        if key in edges:
-            raise ApplicationError(
-                f"edge already exists between host nodes {key[0]} and {key[1]}")
-        edges[key] = ed.right
+        u, v = img[ed.source], img[ed.target]
+        if ed.right is None:
+            drop.append((u, v))
+        elif ed.left is None:
+            if host.has_edge(u, v):
+                a, b = _normalize(u, v)
+                raise ApplicationError(f"edge already exists between host nodes {a} and {b}")
+            put.append((u, v, ed.right))
+        elif ed.right != ed.left:
+            put.append((u, v, ed.right))
 
-    # Renumbering (survivors first, then fresh nodes) is monotone, so host
-    # edges stay sorted and normalised; _build merges in the created edges.
-    # Without deletions it is the identity.
-    if deleted:
-        remap = {old: new for new, old in enumerate(origin)}
-        dense_edges = [(remap[u], remap[v], lbl) for (u, v), lbl in edges.items()]
-    else:
-        dense_edges = [(u, v, lbl) for (u, v), lbl in edges.items()]
-    graph = LabeledGraph._build(labels, dense_edges)
-    return RewriteResult(graph, rule, host, tuple(match), tuple(origin))
+    graph = _edited(host, labels, keep, drop, put)
+    origin = (*keep, *range(n, n + len(fresh)))
+    return RewriteResult(graph, rule, host, tuple(match), origin)
 
 
 Reporter = Callable[[RewriteResult], bool | None]
@@ -500,62 +470,57 @@ def explore(starts: Sequence[LabeledGraph], rules: Sequence[RuleGraph],
         chain.reverse()
         return chain
 
+    def reached(k: str, g: LabeledGraph, via: str | None) -> bool:
+        """Record ``g`` under ``k``, reached from ``via``; whether it is a goal."""
+        visited[k] = g
+        parent[k] = via
+        return goal is not None and goal(g)
+
+    def successors(g: LabeledGraph) -> Iterator[LabeledGraph]:
+        return (res.graph for rule in rules for res in apply_all(rule, g))
+
     if strategy == "bfs":
         frontier: deque[tuple[str, int]] = deque()
         for g in starts:
             k = key(g)
             if k in visited:
                 continue
-            visited[k] = g
-            parent[k] = None
-            if goal is not None and goal(g):
+            if reached(k, g, None):
                 return ExploreResult(visited, reconstruct(k))
             frontier.append((k, 0))
         while frontier:
             k, d = frontier.popleft()
             if d >= depth:
                 continue
-            g = visited[k]
-            for rule in rules:
-                for res in apply_all(rule, g):
-                    ck = key(res.graph)
-                    if ck in visited:
-                        continue
-                    visited[ck] = res.graph
-                    parent[ck] = k
-                    if goal is not None and goal(res.graph):
-                        return ExploreResult(visited, reconstruct(ck))
-                    frontier.append((ck, d + 1))
-        return ExploreResult(visited, None)
-
-    # depth-first
-    found: list[str] | None = None
-
-    def dfs(k: str, d: int) -> bool:
-        g = visited[k]
-        if goal is not None and goal(g):
-            nonlocal found
-            found = reconstruct(k)
-            return True
-        if d >= depth:
-            return False
-        for rule in rules:
-            for res in apply_all(rule, g):
-                ck = key(res.graph)
+            for h in successors(visited[k]):
+                ck = key(h)
                 if ck in visited:
                     continue
-                visited[ck] = res.graph
-                parent[ck] = k
-                if dfs(ck, d + 1):
-                    return True
-        return False
+                if reached(ck, h, k):
+                    return ExploreResult(visited, reconstruct(ck))
+                frontier.append((ck, d + 1))
+        return ExploreResult(visited, None)
 
+    # Depth-first with an explicit stack of successor iterators, so that
+    # deep searches do not depend on the interpreter's recursion limit.
     for g in starts:
         k = key(g)
         if k in visited:
             continue
-        visited[k] = g
-        parent[k] = None
-        if dfs(k, 0):
-            break
-    return ExploreResult(visited, found)
+        if reached(k, g, None):
+            return ExploreResult(visited, reconstruct(k))
+        stack = [(k, 0, successors(g))] if depth > 0 else []
+        while stack:
+            k, d, children = stack[-1]
+            for h in children:
+                ck = key(h)
+                if ck not in visited:
+                    break
+            else:
+                stack.pop()
+                continue
+            if reached(ck, h, k):
+                return ExploreResult(visited, reconstruct(ck))
+            if d + 1 < depth:
+                stack.append((ck, d + 1, successors(h)))
+    return ExploreResult(visited, None)

@@ -30,6 +30,16 @@ class TestLabeledGraph:
         assert g.degree(0) == 2
         assert dict(g.neighbors(1)) == {0: "x", 2: "y"}
 
+    def test_edge_queries_outside_the_graph(self):
+        # A negative or too-large id names no node; it must not wrap
+        # around to another node's edges (node -1 would be node 2).
+        g = TRIANGLE
+        n = g.node_count
+        assert not g.has_edge(-1, 0) and not g.has_edge(-1, 1)
+        assert not g.has_edge(n, 0) and not g.has_edge(0, n)
+        assert g.edge_label(n, 0) is None
+        assert g.edge_label(-1, 1) is None and g.edge_label(1, -1) is None
+
     def test_from_parts_rejects_bad_input(self):
         cases = [
             (["A", ""], [], None, "node 1 has an empty or non-string label"),

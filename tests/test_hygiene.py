@@ -1,7 +1,9 @@
-"""Source hygiene: no module under ``src/grw`` imports a name it never uses.
+"""Source hygiene for the modules under ``src/grw``.
 
-Package ``__init__`` modules are skipped, since their imports are the
-package's re-exports.
+No module imports a name it never uses; package ``__init__`` modules are
+skipped, since their imports are the package's re-exports.  No module
+but ``core.py`` reads the storage attributes of ``LabeledGraph``, so
+that the way edges are stored is known in one place.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from grw import LabeledGraph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grw"
 MODULES = sorted(p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py")
@@ -44,3 +48,29 @@ def test_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+# LabeledGraph's storage slots, and the edge map it used to keep as well.
+STORAGE = frozenset({"_labels", "_adj", "_ext_ids", "_edges"})
+
+
+def storage_reads(source: str) -> list[str]:
+    """Every access to an attribute named like a ``LabeledGraph`` slot."""
+    tree = ast.parse(source)
+    found = sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and n.attr in STORAGE)
+    return [f"{attr} (line {line})" for line, attr in found]
+
+
+def test_checker_flags_a_storage_read():
+    source = "a = g._adj[0]\nb = dict(host._edges)\nc = g.neighbors(0)\nd = x.labels\n"
+    assert storage_reads(source) == ["_adj (line 1)", "_edges (line 2)"]
+
+
+def test_storage_names_cover_the_slots():
+    assert set(LabeledGraph.__slots__) <= STORAGE
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "core.py"])
+def test_graph_storage_is_read_only_in_core(module):
+    assert storage_reads((SRC / module).read_text()) == []

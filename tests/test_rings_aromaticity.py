@@ -11,7 +11,7 @@ from grw.chem import (KekulizationError, all_cycles, canonical_smiles,
                       fill_hydrogens, kekulize, parse_molecule,
                       perceive_aromaticity, perceive_rings, sanity_check)
 
-from conftest import prep
+from conftest import assert_same_as_rebuild, prep
 from oracles import exhaustive_simple_cycles, random_graph
 
 
@@ -142,6 +142,14 @@ class TestPerceiveAromaticity:
         m = prep(smiles)
         assert ":" in self.bond_set(m)
         assert sanity_check(m) == []
+
+    @pytest.mark.parametrize("smiles", [
+        "c1ccccc1O", "C1=CC=CC=C1", "c1ccc2ccccc2c1", "c1cc[nH]c1", "OCC=O",
+    ])
+    def test_rebuilt_graphs_match_a_rebuild(self, smiles):
+        filled = fill_hydrogens(parse_molecule(smiles))
+        for m in (filled, kekulize(filled), perceive_aromaticity(filled)):
+            assert_same_as_rebuild(m.graph)
 
     def test_exocyclic_carbonyl_blocks_aromaticity(self):
         # Cyclohexadienone: the sp2 ring carbon holding C=O contributes no

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,6 +14,7 @@ from grw import (ApplicationError, LabeledGraph, NoEdge, RuleEdge, RuleError,
                  disjoint_union, explore, find_monomorphisms, parse_gml_rule,
                  reverse_rule)
 from grw.chem import fill_hydrogens, parse_smiles
+from grw.rules import _CONSTRAINT_KINDS
 
 from conftest import assert_same_as_rebuild, asset_text
 from oracles import dpo_oracle, graph_as_sets
@@ -84,6 +88,10 @@ class TestRuleGml:
         assert rule.wildcard == "*"
         pattern, _ = rule.left_pattern()
         assert pattern.wildcard == "*"
+
+    def test_readme_names_only_rule_file_conditions(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert set(re.findall(r"`(constrain[A-Z]\w*)`", readme)) == set(_CONSTRAINT_KINDS)
 
     def test_invalid_rules_rejected(self):
         with pytest.raises(RuleError):
@@ -178,6 +186,29 @@ class TestApply:
         with pytest.raises(ApplicationError) as err:
             apply(rule, host, match)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("labels, edges", [
+        (["C", "C", "C"], []),              # no node label fits
+        (["A", "C", "B"], []),              # the pattern edge is missing
+        (["A", "C", "B"], [(0, 2, "=")]),   # the edge label differs
+    ])
+    def test_match_must_map_the_left_pattern(self, labels, edges):
+        rule = RuleGraph("cut", [RuleNode(1, "A", "A"), RuleNode(2, "B", "B")],
+                         [RuleEdge(1, 2, "-", None)])
+        host = LabeledGraph.from_parts(labels, edges)
+        with pytest.raises(ApplicationError) as err:
+            apply(rule, host, (0, 2))
+        assert "does not map the rule's left pattern" in str(err.value)
+        fits = LabeledGraph.from_parts(["A", "C", "B"], [(0, 2, "-")])
+        assert list(apply(rule, fits, (0, 2)).graph.edges()) == []
+
+    def test_match_check_honours_the_wildcard(self):
+        rule = RuleGraph("cut", [RuleNode(1, "*", "*"), RuleNode(2, "B", "B")],
+                         [RuleEdge(1, 2, "*", None)], wildcard="*")
+        host = LabeledGraph.from_parts(["Q", "B"], [(0, 1, "=")])
+        res = apply(rule, host, (0, 1))
+        assert res.graph.node_labels == ("Q", "B")
+        assert list(res.graph.edges()) == []
 
     def test_apply_all_skips_colliding_matches(self, caplog):
         rule = RuleGraph("form", [RuleNode(1, "A", "A"), RuleNode(2, "A", "A")],
@@ -449,6 +480,34 @@ class TestExplore:
         assert out.path is not None
         assert len(out.path) == 3  # AA -> BA/AB -> BB
         assert all(out.path[-1].label(v) == "B" for v in range(2))
+
+    @pytest.mark.parametrize("depth, order", [
+        (1, ["AAA", "BAA", "ABA", "AAB"]),
+        (2, ["AAA", "BAA", "BBA", "BAB", "ABA", "ABB", "AAB"]),
+        (5, ["AAA", "BAA", "BBA", "BBB", "BAB", "ABA", "ABB", "AAB"]),
+    ])
+    def test_dfs_visit_order(self, depth, order):
+        g = LabeledGraph.from_parts(["A", "A", "A"], [(0, 1, "-"), (1, 2, "-")])
+        out = explore([g], [self.RELABEL], strategy="dfs", depth=depth,
+                      key=_labels_key)
+        assert ["".join(h.node_labels) for h in out.visited.values()] == order
+
+    def test_dfs_depth_is_not_bounded_by_the_recursion_limit(self):
+        n = 60
+        g = LabeledGraph.from_parts(["a"] * n, [(i, i + 1, "-") for i in range(n - 1)])
+        rule = RuleGraph("a2b", [RuleNode(1, "a", "b")], [])
+        frame, here = sys._getframe(), 0
+        while frame is not None:
+            frame, here = frame.f_back, here + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(here + 50)
+        try:
+            out = explore([g], [rule], strategy="dfs", depth=n, key=_labels_key,
+                          goal=lambda h: "a" not in h.node_labels)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [h.node_labels for h in out.path] == \
+            [("b",) * i + ("a",) * (n - i) for i in range(n + 1)]
 
     def test_requires_key(self):
         with pytest.raises(ValueError):
