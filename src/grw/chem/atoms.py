@@ -76,7 +76,7 @@ class AtomLabel:
         return f"{sym}{q}{c}"
 
 
-_LABEL_RE = re.compile(r"^([A-Z][a-z]?|[bcnops])([+-]\d*)?(?::(\d+))?$")
+_LABEL_RE = re.compile(r"^([A-Z][a-z]?|[bcnops])([+-][0-9]*)?(?::([0-9]+))?$")
 
 
 @lru_cache(maxsize=4096)

@@ -43,6 +43,9 @@ class Violation:
     node: int | None
     message: str
 
+    def __str__(self) -> str:
+        return self.message
+
 
 def _bond_split(m: Molecule, v: int) -> tuple[int, int]:
     """(integer order sum of non-aromatic bonds, number of aromatic bonds)."""

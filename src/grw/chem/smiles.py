@@ -34,7 +34,7 @@ class SmilesError(ChemError):
 
 
 _BRACKET_RE = re.compile(
-    r"^([A-Z][a-z]?|[bcnops])(H(\d*))?([+-]\d*)?(?::(\d+))?$")
+    r"^([A-Z][a-z]?|[bcnops])(H([0-9]*))?([+-][0-9]*)?(?::([0-9]+))?$")
 _TWO_LETTER = ("Cl", "Br")
 _AROMATIC_ORGANIC = "bcnops"
 _BOND_CHARS = "-=#:"
@@ -128,11 +128,11 @@ def parse_smiles(text: str, groups=None) -> list[Molecule]:
                 raise SmilesError("dangling bond symbol before '.'", i)
             prev = None
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             ring_bond(int(ch), i)
             i += 1
         elif ch == "%":
-            if i + 2 >= n + 1 or not text[i + 1:i + 3].isdigit():
+            if not re.fullmatch(r"[0-9]{2}", text[i + 1:i + 3]):
                 raise SmilesError("'%' must be followed by two digits", i)
             ring_bond(int(text[i + 1:i + 3]), i)
             i += 3

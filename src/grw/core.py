@@ -202,6 +202,7 @@ def _edited(host: LabeledGraph, labels: Sequence[str], keep: Sequence[int],
 # -- GML ------------------------------------------------------------------
 
 _WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_DIGITS = set("0123456789")
 _OPS = set("=!<>")
 
 
@@ -256,9 +257,9 @@ def tokenize_gml(text: str) -> list[Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], start_line, start_col))
             col += j - i
@@ -266,7 +267,7 @@ def tokenize_gml(text: str) -> list[Token]:
             continue
         if ch in _WORD_START:
             j = i + 1
-            while j < n and (text[j] in _WORD_START or text[j].isdigit()):
+            while j < n and (text[j] in _WORD_START or text[j] in _DIGITS):
                 j += 1
             tokens.append(Token("word", text[i:j], start_line, start_col))
             col += j - i

@@ -191,14 +191,15 @@ def _search_order(g: LabeledGraph) -> list[int]:
     return ordered
 
 
-def find_monomorphisms(pattern: Pattern | LabeledGraph, host: LabeledGraph,
-                       limit: int | None = None) -> list[tuple[int, ...]]:
+def find_monomorphisms(pattern: Pattern | LabeledGraph,
+                       host: LabeledGraph) -> list[tuple[int, ...]]:
     """All constraint-satisfying monomorphisms of ``pattern`` into ``host``.
 
     Each match is a tuple ``m`` with ``m[i]`` the host node for pattern
-    node ``i``.  The list is sorted lexicographically by that tuple, and
-    truncated at ``limit`` if given.  Two runs on identical inputs return
-    identical lists.
+    node ``i``.  The list is sorted lexicographically by that tuple.  Two
+    runs on identical inputs return identical lists.  The search recurses
+    once per pattern node and enumerates every match; to decide whether
+    two graphs are isomorphic use :func:`are_isomorphic`.
     """
     if isinstance(pattern, LabeledGraph):
         pattern = Pattern(pattern)
@@ -206,7 +207,7 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph, host: LabeledGraph,
     wc = pattern.wildcard
     k = pg.node_count
     if k == 0:
-        return [()][: limit if limit is not None else None]
+        return [()]
     if k > host.node_count:
         return []
 
@@ -272,26 +273,7 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph, host: LabeledGraph,
 
     extend(0)
     results.sort()
-    if limit is not None:
-        results = results[:limit]
     return results
-
-
-def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Structural isomorphism of two labeled graphs."""
-    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
-        return False
-    if sorted(g1.node_labels) != sorted(g2.node_labels):
-        return False
-    prof1 = sorted((g1.label(v), g1.degree(v), tuple(sorted(g1.neighbors(v).values())))
-                   for v in g1.nodes())
-    prof2 = sorted((g2.label(v), g2.degree(v), tuple(sorted(g2.neighbors(v).values())))
-                   for v in g2.nodes())
-    if prof1 != prof2:
-        return False
-    # A label-preserving monomorphism between graphs of equal size is a bijection,
-    # and with equal edge counts it is edge-surjective, hence an isomorphism.
-    return bool(find_monomorphisms(Pattern(g1), g2, limit=1))
 
 
 # -- canonical search -------------------------------------------------------
@@ -479,16 +461,22 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
     return best
 
 
-def _serialize_by_rank(g: LabeledGraph, edges: list[tuple[int, int, str]],
+def _serialize_by_rank(labels: list[str], edges: list[tuple[int, int, str]],
                        rank: list[int]) -> str:
-    by_rank = [0] * g.node_count
+    by_rank = [0] * len(labels)
     for v, r in enumerate(rank):
         by_rank[r] = v
-    labels = ",".join(g.label(v) for v in by_rank)
+    ltxt = ",".join(labels[v] for v in by_rank)
     ranked = sorted((rank[u], rank[v], lbl) if rank[u] < rank[v] else (rank[v], rank[u], lbl)
                     for u, v, lbl in edges)
     etxt = ";".join(f"{a}-{b}:{lbl}" for a, b, lbl in ranked)
-    return f"{g.node_count}|{labels}|{etxt}"
+    return f"{len(labels)}|{ltxt}|{etxt}"
+
+
+# Separators of the canonical key, escaped inside labels so that the key
+# reads back as one graph only.
+_NODE_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "|": "\\|"})
+_EDGE_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;"})
 
 
 def _coded(g: LabeledGraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
@@ -501,27 +489,31 @@ def _coded(g: LabeledGraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
     return adj, [node_rank[lbl] for lbl in g.node_labels]
 
 
-def refinement_invariant(g: LabeledGraph) -> tuple[tuple[int, str], ...]:
-    """Sorted (stable colour, label) pairs of the refined label colouring.
-
-    Isomorphic graphs get equal invariants; unequal invariants prove that
-    two graphs are not isomorphic.
-    """
-    _, colors, _ = _refined(*_coded(g))
-    return tuple(sorted(zip(colors, g.node_labels)))
-
-
 def canonical_key(g: LabeledGraph) -> str:
     """A string identical for isomorphic graphs and different otherwise.
 
     The smallest serialization over the leaves of :func:`canonical_form`,
     starting from the node labels and coding edge labels by their sorted
-    order.  Automorphisms found at the leaves prune the search, so
-    symmetric graphs such as explicit-hydrogen neopentane take a handful
-    of leaves instead of one per symmetry.
+    order.  The key reads ``n|labels|edges``: the node labels in rank
+    order joined by ``,``, then ``a-b:label`` per edge (ranks ``a < b``)
+    in ascending order joined by ``;``.  Inside node labels ``\\``, ``,``
+    and ``|`` are escaped with a backslash, inside edge labels ``\\`` and
+    ``;``, so no two graphs share a key; labels without those characters
+    appear as they are.  Automorphisms found at the leaves prune the
+    search, so symmetric graphs such as explicit-hydrogen neopentane take
+    a handful of leaves instead of one per symmetry.
     """
     if g.node_count == 0:
         return "0||"
     adj, colors = _coded(g)
-    edges = g.edges()
-    return canonical_form(adj, colors, lambda rank: _serialize_by_rank(g, edges, rank))
+    labels = [lbl.translate(_NODE_ESCAPES) for lbl in g.node_labels]
+    edges = [(u, v, lbl.translate(_EDGE_ESCAPES)) for u, v, lbl in g.edges()]
+    return canonical_form(adj, colors, lambda rank: _serialize_by_rank(labels, edges, rank))
+
+
+def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
+    """Whether two labeled graphs are isomorphic: graphs of equal node
+    and edge counts compared by :func:`canonical_key`."""
+    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
+        return False
+    return canonical_key(g1) == canonical_key(g2)

@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Sequence
 
 from .core import GmlError, LabeledGraph, TokenStream, _edited, _normalize
 from .match import (Adjacency, MatchConstraint, NodeLabel, NoEdge, Pattern,
-                    are_isomorphic, constraint_nodes, find_monomorphisms,
-                    is_monomorphism, refinement_invariant, remap_constraint)
+                    canonical_key, constraint_nodes, find_monomorphisms,
+                    is_monomorphism, remap_constraint)
 
 log = logging.getLogger(__name__)
 
@@ -403,17 +403,16 @@ def apply_all(rule: RuleGraph, host: LabeledGraph, reporter: Reporter | None = N
               dedup: bool = False) -> list[RewriteResult]:
     """Apply a rule at every match, in deterministic match order.
 
-    With ``dedup``, results whose graphs are isomorphic to an earlier
-    result are dropped (first occurrence kept).  A reporter receives each
-    surviving result; returning ``False`` stops the enumeration early.
+    With ``dedup``, a result whose graph has the :func:`canonical_key` of
+    an earlier result's graph, i.e. is isomorphic to it, is dropped (first
+    occurrence kept).  A reporter receives each surviving result;
+    returning ``False`` stops the enumeration early.
     Matches whose application fails (an edge collision) are skipped with
     a logged diagnostic rather than aborting the enumeration.
     """
     pattern, _ = rule.left_pattern()
     results: list[RewriteResult] = []
-    # Isomorphic graphs share a refinement invariant, so only results in
-    # the same bucket need the pairwise isomorphism test.
-    buckets: dict[tuple, list[LabeledGraph]] = {}
+    seen: set[str] = set()
     for match in find_monomorphisms(pattern, host):
         try:
             res = apply(rule, host, match)
@@ -422,10 +421,10 @@ def apply_all(rule: RuleGraph, host: LabeledGraph, reporter: Reporter | None = N
                         rule.rule_id, match, exc)
             continue
         if dedup:
-            bucket = buckets.setdefault(refinement_invariant(res.graph), [])
-            if any(are_isomorphic(res.graph, prior) for prior in bucket):
+            key = canonical_key(res.graph)
+            if key in seen:
                 continue
-            bucket.append(res.graph)
+            seen.add(key)
         results.append(res)
         if reporter is not None and reporter(res) is False:
             break

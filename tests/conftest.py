@@ -2,14 +2,38 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from importlib import resources
 from random import Random
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from grw import LabeledGraph, RuleGraph, parse_gml_rule
 from grw.chem import (Molecule, check_chem_rule, fill_hydrogens, parse_smiles,
                       perceive_aromaticity, sanity_check)
+
+# Property tests draw the same examples on every run and keep no example
+# database.
+settings.register_profile("grw", derandomize=True, database=None, deadline=None,
+                          max_examples=150)
+settings.load_profile("grw")
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it mines from local modules, at
+    # collection time; keep that cache in a temporary directory that the
+    # session removes, not in a ``.hypothesis/`` directory in the checkout.
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="grw-hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 def asset_text(name: str) -> str:

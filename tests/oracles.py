@@ -91,6 +91,58 @@ def brute_force_monomorphisms(pattern: Pattern | LabeledGraph,
 
 
 # ---------------------------------------------------------------------------
+# Graph isomorphism by backtracking
+# ---------------------------------------------------------------------------
+
+def _profile(g: LabeledGraph, v: int) -> tuple:
+    return g.label(v), g.degree(v), tuple(sorted(g.neighbors(v).values()))
+
+
+def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
+    """Whether a bijection maps ``g1`` onto ``g2``, labels and edges alike.
+
+    Nodes of ``g1`` are mapped in breadth-first order, each to an unused
+    node of ``g2`` with the same label, degree and incident edge labels;
+    a candidate is kept when every pair with an already mapped node has
+    the same edge label (or no edge) in both graphs.  Stops at the first
+    complete map.
+    """
+    n = g1.node_count
+    if n != g2.node_count or g1.edge_count != g2.edge_count:
+        return False
+    prof1 = [_profile(g1, v) for v in range(n)]
+    prof2 = [_profile(g2, v) for v in range(n)]
+    if sorted(prof1) != sorted(prof2):
+        return False
+    order: list[int] = []
+    for start in range(n):
+        if start in order:
+            continue
+        k = len(order)
+        order.append(start)
+        while k < len(order):
+            order += [u for u in g1.neighbors(order[k]) if u not in order]
+            k += 1
+    image: dict[int, int] = {}
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for h in range(n):
+            if h in image.values() or prof2[h] != prof1[v]:
+                continue
+            if all(g1.edge_label(v, u) == g2.edge_label(h, image[u]) for u in order[:i]):
+                image[v] = h
+                if extend(i + 1):
+                    return True
+                del image[v]
+        return False
+
+    return extend(0)
+
+
+# ---------------------------------------------------------------------------
 # DPO rewriting by direct set arithmetic
 # ---------------------------------------------------------------------------
 

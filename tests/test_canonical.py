@@ -6,11 +6,11 @@ from random import Random
 
 import pytest
 
-from grw import are_isomorphic
 from grw.chem import canonical_smiles, fill_hydrogens, parse_smiles
 from grw.network import ExpansionConfig, expand
 
 from conftest import permuted, prep
+from oracles import isomorphic
 
 NADH = ("NC(=O)C1[CH2]C=CN(C=1)C2OC(COP(O)(=O)OP(O)(=O)"
         "OCC3OC(C(O)C3O)n4cnc5c(N)ncnc54)C(O)C2O")
@@ -111,7 +111,7 @@ class TestSeparationAndRoundtrip:
             reps: list = []  # (canon, molecule) per isomorphism class
             for canon, m in entries:
                 for rcanon, rm in reps:
-                    iso = are_isomorphic(m.graph, rm.graph)
+                    iso = isomorphic(m.graph, rm.graph)
                     same = canon == rcanon
                     assert iso == same, (canon, rcanon)
                     if iso:
@@ -127,7 +127,7 @@ class TestSeparationAndRoundtrip:
             mols = parse_smiles(canon)
             assert len(mols) == 1
             back = fill_hydrogens(mols[0])
-            assert are_isomorphic(back.graph, m.graph), canon
+            assert isomorphic(back.graph, m.graph), canon
             assert canonical_smiles(back) == canon
 
     def test_nadh_heavy_atom_counts(self):

@@ -59,10 +59,24 @@ class TestCanon:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    @pytest.mark.parametrize("smiles, message", [
+        ("C\u00b2", "unexpected character '\u00b2' (position 1)"),
+        ("C1CCC%1", "'%' must be followed by two digits (position 5)"),
+    ])
+    def test_ring_closures_take_ascii_digits(self, capsys, smiles, message):
+        code, _, err = run(capsys, "canon", smiles)
+        assert code == EXIT_PARSE
+        assert err == f"parse error: {message}\n"
+
     def test_impossible_valence_is_domain_error(self, capsys):
         code, _, err = run(capsys, "canon", "[CH5]")
         assert code == EXIT_DOMAIN
         assert "valence" in err
+
+    def test_sanity_error_prints_the_message(self, capsys):
+        code, _, err = run(capsys, "canon", "C(C)(C)(C)(C)C")
+        assert code == EXIT_DOMAIN
+        assert err == "error: atom 0 (C) has bond-order sum 5, allowed valences (4,)\n"
 
 
 class TestApply:
@@ -97,6 +111,13 @@ class TestApply:
                            "--smiles", "C")
         assert code == EXIT_DOMAIN
         assert "no match" in err
+
+    def test_sanity_error_prints_the_message(self, capsys):
+        code, _, err = run(capsys, "apply",
+                           "--rule", str(assets_dir() / "diels_alder.gml"),
+                           "--smiles", "C=CC=C.C(C)(C)(C)(C)C")
+        assert code == EXIT_DOMAIN
+        assert err == "error: atom 0 (C) has bond-order sum 5, allowed valences (4,)\n"
 
     def test_missing_rule_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "apply", "--rule", "/no/such/rule.gml",
@@ -180,6 +201,13 @@ class TestRings:
         code, _, err = run(capsys, "rings", "--graph", str(path))
         assert code == EXIT_PARSE
         assert "parse error" in err
+
+    def test_non_ascii_digit_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.gml"
+        path.write_text('graph [\n  node [ id \u00b2 label "A" ]\n]\n')
+        code, _, err = run(capsys, "rings", "--graph", str(path))
+        assert code == EXIT_PARSE
+        assert err == "parse error: unexpected character '\u00b2' (line 2, column 13)\n"
 
 
 class TestYdelta:

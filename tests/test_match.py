@@ -42,11 +42,6 @@ class TestBasics:
         p = LabeledGraph.from_parts(["C", "C"], [])
         assert find_monomorphisms(p, LabeledGraph.from_parts(["C"], [])) == []
 
-    def test_limit_truncates(self):
-        host = LabeledGraph.from_parts(["A"] * 5, [])
-        p = LabeledGraph.from_parts(["A"], [])
-        assert find_monomorphisms(p, host, limit=2) == [(0,), (1,)]
-
     def test_determinism(self):
         rng = Random(99)
         host = random_graph(rng, 8, ["A", "B"], ["-", "="])
@@ -131,3 +126,7 @@ class TestIsomorphism:
         g = LabeledGraph.from_parts(["A", "B"], [(0, 1, "-")])
         h = LabeledGraph.from_parts(["A", "A"], [(0, 1, "-")])
         assert not are_isomorphic(g, h)
+
+    def test_long_chain_with_itself(self):
+        chain = LabeledGraph.from_parts(["C"] * 1200, [(i, i + 1, "-") for i in range(1199)])
+        assert are_isomorphic(chain, chain)

@@ -1,0 +1,100 @@
+"""Property tests: canonical keys and dedup against the backtracking oracle.
+
+Labels draw from plain letters and from short strings over an alphabet
+holding the key's separators, so a key that fails to escape them would
+give two different graphs the same string.
+"""
+
+from __future__ import annotations
+
+from hypothesis import example, given, strategies as st
+
+from grw import LabeledGraph, NoEdge, RuleEdge, RuleGraph, RuleNode, apply_all, canonical_key
+
+from oracles import isomorphic
+
+LABELS = st.one_of(st.sampled_from(["a", "b"]),
+                   st.text(alphabet="ab,|;\\-:", min_size=1, max_size=3))
+
+
+@st.composite
+def graphs(draw, max_nodes: int = 7) -> LabeledGraph:
+    n = draw(st.integers(0, max_nodes))
+    labels = draw(st.lists(LABELS, min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return LabeledGraph.from_parts(labels, [(u, v, draw(LABELS)) for u, v in chosen])
+
+
+def permute(g: LabeledGraph, perm: list[int]) -> LabeledGraph:
+    """``g`` with node ``v`` renamed ``perm[v]``."""
+    labels = [""] * g.node_count
+    for v, lbl in enumerate(g.node_labels):
+        labels[perm[v]] = lbl
+    return LabeledGraph.from_parts(labels, [(perm[u], perm[v], lbl) for u, v, lbl in g.edges()])
+
+
+@st.composite
+def permuted_pairs(draw) -> tuple[LabeledGraph, LabeledGraph]:
+    g = draw(graphs())
+    return g, permute(g, draw(st.permutations(range(g.node_count))))
+
+
+@st.composite
+def related_pairs(draw) -> tuple[LabeledGraph, LabeledGraph]:
+    """Two independent graphs, or a graph and a permuted copy with at
+    most one node label changed, so equal and unequal keys both occur."""
+    g, h = draw(permuted_pairs())
+    if draw(st.booleans()):
+        return g, draw(graphs())
+    if h.node_count and draw(st.booleans()):
+        labels = list(h.node_labels)
+        labels[draw(st.integers(0, h.node_count - 1))] = draw(LABELS)
+        h = LabeledGraph.from_parts(labels, h.edges())
+    return g, h
+
+
+# Pairs whose keys coincide unless separators (and, in the last two pairs,
+# the escape character itself) are escaped.
+COLLISIONS = [
+    (LabeledGraph.from_parts(["a", "b,c"], []), LabeledGraph.from_parts(["a,b", "c"], [])),
+    (LabeledGraph.from_parts(["a", "a", "b", "b"], [(0, 1, "e;2-3:e")]),
+     LabeledGraph.from_parts(["a", "a", "b", "b"], [(0, 1, "e"), (2, 3, "e")])),
+    (LabeledGraph.from_parts(["a\\", "b", "c,d"], []),
+     LabeledGraph.from_parts(["a,b", "c\\", "d"], [])),
+    (LabeledGraph.from_parts(["a", "a", "b", "b"], [(0, 1, "e\\"), (2, 3, "e")]),
+     LabeledGraph.from_parts(["a", "a", "b", "b"], [(0, 1, "e;2-3:e")])),
+]
+
+
+@given(permuted_pairs())
+def test_canonical_key_ignores_node_order(pair):
+    g, h = pair
+    assert canonical_key(g) == canonical_key(h)
+
+
+@given(related_pairs())
+@example(COLLISIONS[0])
+@example(COLLISIONS[1])
+@example(COLLISIONS[2])
+@example(COLLISIONS[3])
+def test_equal_keys_exactly_for_isomorphic_graphs(pair):
+    g, h = pair
+    assert (canonical_key(g) == canonical_key(h)) == isomorphic(g, h)
+
+
+RULES = [
+    RuleGraph("relabel", [RuleNode(1, "a", "b,a")], []),
+    RuleGraph("join", [RuleNode(1, "a", "a"), RuleNode(2, "a", "a")],
+              [RuleEdge(1, 2, None, "e;0-1:e")], [NoEdge(1, 2)]),
+]
+
+
+@given(st.sampled_from(RULES), graphs())
+def test_dedup_keeps_what_a_pairwise_scan_keeps(rule, host):
+    kept = []
+    for res in apply_all(rule, host):
+        if not any(isomorphic(res.graph, k.graph) for k in kept):
+            kept.append(res)
+    distinct = apply_all(rule, host, dedup=True)
+    assert [r.match for r in distinct] == [r.match for r in kept]
