@@ -9,7 +9,7 @@ The package is organized in three tiers:
 - :mod:`grw.network` — iterative expansion of reaction networks.
 """
 
-from .core import (GmlError, LabeledGraph, connected_components,
+from .core import (GmlError, GraphPool, LabeledGraph, connected_components,
                    disjoint_union, parse_gml_graph, write_gml_graph)
 from .match import (Adjacency, EdgeLabel, NodeDegree, NodeLabel, NoEdge,
                     Pattern, are_isomorphic, canonical_key,
@@ -21,8 +21,8 @@ from .rules import (ApplicationError, ExploreResult, RewriteResult, RuleEdge,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GmlError", "LabeledGraph", "connected_components", "disjoint_union",
-    "parse_gml_graph", "write_gml_graph",
+    "GmlError", "GraphPool", "LabeledGraph", "connected_components",
+    "disjoint_union", "parse_gml_graph", "write_gml_graph",
     "Adjacency", "EdgeLabel", "NodeDegree", "NodeLabel", "NoEdge", "Pattern",
     "are_isomorphic", "canonical_key", "check_constraints",
     "find_monomorphisms",

@@ -76,7 +76,7 @@ class AtomLabel:
         return f"{sym}{q}{c}"
 
 
-_LABEL_RE = re.compile(r"^([A-Z][a-z]?|[bcnops])([+-][0-9]*)?(?::([0-9]+))?$")
+_LABEL_RE = re.compile(r"([A-Z][a-z]?|[bcnops])([+-][0-9]*)?(?::([0-9]+))?")
 
 
 @lru_cache(maxsize=4096)
@@ -85,7 +85,7 @@ def parse_atom_label(label: str) -> AtomLabel | None:
 
     Results are cached: ``AtomLabel`` is frozen, so callers may share them.
     """
-    m = _LABEL_RE.match(label)
+    m = _LABEL_RE.fullmatch(label)
     if not m:
         return None
     sym, q, cls = m.groups()

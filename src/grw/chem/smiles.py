@@ -34,7 +34,7 @@ class SmilesError(ChemError):
 
 
 _BRACKET_RE = re.compile(
-    r"^([A-Z][a-z]?|[bcnops])(H([0-9]*))?([+-][0-9]*)?(?::([0-9]+))?$")
+    r"([A-Z][a-z]?|[bcnops])(H([0-9]*))?([+-][0-9]*)?(?::([0-9]+))?")
 _TWO_LETTER = ("Cl", "Br")
 _AROMATIC_ORGANIC = "bcnops"
 _BOND_CHARS = "-=#:"
@@ -149,7 +149,7 @@ def parse_smiles(text: str, groups=None) -> list[Molecule]:
                                explicit_h=0, position=i, group=name))
                 i = j + 1
                 continue
-            m = _BRACKET_RE.match(inner)
+            m = _BRACKET_RE.fullmatch(inner)
             if not m:
                 raise SmilesError(f"malformed bracket atom [{inner}]", i)
             sym, hpart, hcount, qpart, cls = m.groups()

@@ -11,7 +11,8 @@ mapping, and only this module reads or writes that store.
 :meth:`LabeledGraph.from_parts` validates parts that come from outside
 (callers, SMILES and GML parsers).  Graphs derived from valid graphs
 (unions, components, and edits through the private ``_edited``) copy or
-renumber adjacency mappings without re-checking them.
+renumber adjacency mappings without re-checking them.  A
+:class:`GraphPool` makes graphs that live together share equal storage.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ class LabeledGraph:
     Instances must not be mutated, and neither may the mapping
     :meth:`neighbors` returns: it is the graph's own, and derived graphs
     (:meth:`with_labels`, a graph's only connected component, rule
-    applications) share adjacency mappings with their source.  Structural
+    applications) share adjacency mappings with their source, as do all
+    graphs passed through one :class:`GraphPool`.  Writing to a returned
+    mapping therefore corrupts every graph that shares it.  Structural
     equality compares labels and edges, ignoring the external-id side map.
     """
 
@@ -117,7 +120,12 @@ class LabeledGraph:
         return len(self._adj[v])
 
     def neighbors(self, v: int) -> dict[int, str]:
-        """Neighbor -> edge label, in ascending neighbor order (read only)."""
+        """Neighbor -> edge label, in ascending neighbor order.
+
+        The mapping is the graph's own storage and may be shared with
+        other graphs (see :class:`LabeledGraph`): treat it as read only,
+        since writing to it corrupts every graph that shares it.
+        """
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -157,6 +165,35 @@ class LabeledGraph:
 
     def __repr__(self) -> str:
         return f"LabeledGraph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+class GraphPool:
+    """Hash-consing table that makes equal graph parts one shared object.
+
+    :meth:`share` returns a graph equal to its argument whose label tuple,
+    ``ext_ids`` tuple and adjacency mappings are the first equal objects
+    the pool was given.  Graphs that live together (a reaction network's
+    molecules) then hold each distinct row and tuple once.  A row is keyed
+    by its ordered items, so a shared row keeps its neighbour order.
+    Shared mappings must never be written to.
+    """
+
+    __slots__ = ("_rows", "_tuples")
+
+    def __init__(self) -> None:
+        self._rows: dict[tuple[tuple[int, str], ...], dict[int, str]] = {}
+        # Kept apart from the rows: an empty row and an empty tuple have
+        # the same key.
+        self._tuples: dict[tuple, tuple] = {}
+
+    def share(self, g: LabeledGraph) -> LabeledGraph:
+        """A graph equal to ``g``, with the same ``ext_ids`` and neighbour
+        order, built from the pool's shared parts; ``g`` is left unchanged."""
+        rows = self._rows
+        tuples = self._tuples
+        adj = tuple([rows.setdefault(tuple(row.items()), row) for row in g._adj])
+        return LabeledGraph(tuples.setdefault(g._labels, g._labels), adj,
+                            tuples.setdefault(g._ext_ids, g._ext_ids))
 
 
 def _edited(host: LabeledGraph, labels: Sequence[str], keep: Sequence[int],

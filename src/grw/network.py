@@ -16,9 +16,9 @@ import itertools
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .core import LabeledGraph, connected_components, disjoint_union
+from .core import GraphPool, LabeledGraph, connected_components, disjoint_union
 from .match import Pattern, constraint_nodes, find_monomorphisms, remap_constraint, satisfies
 from .rules import RuleGraph, apply as apply_rule
 from .chem.energy import EnergyModel, RateParams, estimate_energy, reaction_rate
@@ -60,7 +60,12 @@ class ExpansionConfig:
 
 @dataclass
 class ReactionNetwork:
-    """Molecules keyed by canonical SMILES plus recorded reactions."""
+    """Molecules keyed by canonical SMILES plus recorded reactions.
+
+    The molecules that :func:`expand` stores share their graph storage:
+    equal label tuples, ``ext_ids`` tuples and adjacency rows are one
+    object across the network (see :class:`grw.core.GraphPool`).
+    """
     molecules: dict[str, tuple[Molecule, int]] = field(default_factory=dict)
     reactions: list[Reaction] = field(default_factory=list)
     iterations: int = 0
@@ -122,13 +127,18 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
 
     Products failing sanity checks (or kekulization) are reported through
     the module logger and their reaction is discarded; expansion never
-    aborts on them.
+    aborts on them.  Every molecule the network stores (seeds and new
+    products) goes through one :class:`~grw.core.GraphPool` per call, so
+    stored graphs share equal rows and tuples; discarded and duplicate
+    products never reach it.
     """
     net = ReactionNetwork(iterations=cfg.iterations)
+    pool = GraphPool()
     for m in inputs:
         mol = perceive_aromaticity(m)
         canon = canonical_smiles(mol)
-        net.molecules.setdefault(canon, (mol, 0))
+        if canon not in net.molecules:
+            net.molecules[canon] = (replace(mol, graph=pool.share(mol.graph)), 0)
 
     compiled = [_compile_rule(r) for r in rules]
     seen_reactions: set[tuple] = set()
@@ -182,7 +192,7 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
                             for c in cr.cross):
                         continue
                     _process_match(cr, union, match, combo, i, cfg, net,
-                                   seen_reactions, energy_of, discovered)
+                                   seen_reactions, energy_of, discovered, pool)
 
         new_canons = sorted(set(discovered))
         elapsed = time.monotonic() - t0
@@ -196,7 +206,8 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
 def _process_match(cr: _CompiledRule, union: LabeledGraph, match: tuple,
                    combo: tuple[str, ...], iteration: int,
                    cfg: ExpansionConfig, net: ReactionNetwork,
-                   seen: set, energy_of, discovered: list[str]) -> None:
+                   seen: set, energy_of, discovered: list[str],
+                   pool: GraphPool) -> None:
     result = apply_rule(cr.rule, union, match)
     product_mols: list[tuple[str, Molecule]] = []
     for comp, _ in connected_components(result.graph):
@@ -224,7 +235,8 @@ def _process_match(cr: _CompiledRule, union: LabeledGraph, match: tuple,
 
     for canon, mol in product_mols:
         if canon not in net.molecules:
-            net.molecules[canon] = (mol, iteration)
+            net.molecules[canon] = (replace(mol, graph=pool.share(mol.graph)),
+                                    iteration)
             discovered.append(canon)
 
     if cfg.energy_model is not None:

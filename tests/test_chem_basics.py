@@ -29,7 +29,8 @@ class TestAtomLabels:
         assert (lbl.element, lbl.charge, lbl.cls, lbl.aromatic) == \
             (element, charge, cls, aromatic)
 
-    @pytest.mark.parametrize("text", ["", "Xx", "CC", "q", "C+-", "-", "1"])
+    @pytest.mark.parametrize("text", ["", "Xx", "CC", "q", "C+-", "-", "1",
+                                      "C\n", "N+:1\n"])
     def test_rejects_non_atoms(self, text):
         assert parse_atom_label(text) is None
 
@@ -133,6 +134,7 @@ class TestParseSmiles:
         ("C-1CC=1", "ring"),
         ("", "empty"),
         ("[C", "bracket"),
+        ("[CH4\n]", "bracket"),
     ])
     def test_parse_errors(self, bad, fragment):
         with pytest.raises(SmilesError) as err:

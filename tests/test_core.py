@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from grw import (GmlError, LabeledGraph, connected_components, disjoint_union,
-                 parse_gml_graph, write_gml_graph)
+from grw import (GmlError, GraphPool, LabeledGraph, connected_components,
+                 disjoint_union, parse_gml_graph, write_gml_graph)
 from grw.chem import fill_hydrogens, parse_smiles
 
 from conftest import assert_same_as_rebuild
@@ -231,3 +231,40 @@ class TestConnectedComponents:
             ]""")
         comps = connected_components(split)
         assert [(sub.ext_ids, ids) for sub, ids in comps] == [((0, 1), (0, 2)), ((0,), (1,))]
+
+
+class TestGraphPool:
+    def test_share_is_equal_with_same_ids_and_order(self):
+        rng = Random(11)
+        pool = GraphPool()
+        for _ in range(25):
+            g = random_graph(rng, 9, ["A", "B"], ["-", "="], edge_p=0.3)
+            before = [list(g.neighbors(v).items()) for v in g.nodes()]
+            shared = pool.share(g)
+            assert shared == g and shared.ext_ids == g.ext_ids
+            assert [list(shared.neighbors(v).items()) for v in shared.nodes()] == before
+            assert [list(g.neighbors(v).items()) for v in g.nodes()] == before
+            assert_same_as_rebuild(shared)
+
+    def test_equal_rows_and_tuples_are_one_object(self):
+        pool = GraphPool()
+        # Node 1 of ``a`` and node 1 of ``b`` have the row {0: "-", 2: "="}.
+        a = pool.share(LabeledGraph.from_parts(["A", "B", "C"], [(0, 1, "-"), (1, 2, "=")]))
+        b = pool.share(LabeledGraph.from_parts(["A", "B", "C"],
+                                               [(1, 0, "-"), (2, 1, "="), (0, 2, "-")]))
+        assert a.neighbors(1) is b.neighbors(1)
+        assert a.neighbors(0) is not b.neighbors(0)
+        assert a.node_labels is b.node_labels and a.ext_ids is b.ext_ids
+
+    def test_empty_row_and_empty_tuple_stay_apart(self):
+        pool = GraphPool()
+        empty = pool.share(LabeledGraph.from_parts([], []))
+        lone = pool.share(LabeledGraph.from_parts(["A"], []))
+        assert empty.node_labels == () and empty.ext_ids == ()
+        assert lone.neighbors(0) == {} and lone.ext_ids == (0,)
+
+    def test_declared_ids_are_kept(self):
+        g = parse_gml_graph('''graph [ node [ id 7 label "A" ] node [ id 3 label "B" ]
+                               edge [ source 7 target 3 label "-" ] ]''')
+        shared = GraphPool().share(g)
+        assert shared.ext_ids == (7, 3) and write_gml_graph(shared) == write_gml_graph(g)

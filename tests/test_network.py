@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from grw.chem import (canonical_smiles, load_energy_model, molecular_formula,
+from grw import (apply, canonical_key, connected_components, disjoint_union,
+                 find_monomorphisms)
+from grw.chem import (Molecule, canonical_smiles, fill_hydrogens,
+                      load_energy_model, molecular_formula, perceive_aromaticity,
                       sanity_check)
 from grw.network import ExpansionConfig, ReactionNetwork, expand, to_dot, to_gml
 
@@ -84,6 +90,59 @@ class TestNetworkInvariants:
         assert to_gml(nets[0]) == to_gml(nets[1])
         assert [r.signature for r in nets[0].reactions] == \
                [r.signature for r in nets[1].reactions]
+
+
+class TestSharedStorage:
+    """``expand`` stores molecules through one graph pool: equal rows and
+    tuples are one object, so stored molecules must stay read only."""
+
+    def test_retained_memory_per_molecule(self, formose_rules, formose_inputs):
+        cfg = ExpansionConfig(iterations=5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net = expand(formose_inputs, formose_rules, cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert net.molecule_count == 302
+        assert retained / net.molecule_count < 4096
+
+    def test_stored_molecules_share_rows(self, formose_net5):
+        graphs = [m.graph for m, _ in formose_net5.molecules.values()]
+        rows = [g.neighbors(v) for g in graphs for v in g.nodes()]
+        assert len({id(r) for r in rows}) < len(rows) / 10
+        assert len({id(g.ext_ids) for g in graphs}) == \
+            len({g.node_count for g in graphs})
+
+    def test_layers_leave_shared_mappings_unchanged(self, formose_rules,
+                                                    formose_inputs):
+        net = expand(formose_inputs, formose_rules,
+                     ExpansionConfig(iterations=4))
+        mols = [m for m, _ in net.molecules.values()]
+
+        def snapshot():
+            return [[tuple(m.graph.neighbors(v).items()) for v in m.graph.nodes()]
+                    for m in mols]
+
+        before = snapshot()
+        for m in mols:
+            g = m.graph
+            fill_hydrogens(m)
+            perceive_aromaticity(m)
+            sanity_check(m)
+            canonical_smiles(m)
+            canonical_key(g)
+            g.with_labels({0: "Q"})
+            host, _ = disjoint_union([g, g])
+            for rule in formose_rules:
+                pattern, _ = rule.left_pattern()
+                for match in find_monomorphisms(pattern, host)[:4]:
+                    for comp, _ in connected_components(apply(rule, host, match).graph):
+                        sanity_check(Molecule(comp, {}, filled=True))
+        assert snapshot() == before
 
 
 class TestConfig:
@@ -196,6 +255,12 @@ class TestBetaLactamOpening:
 
 
 class TestExports:
+    def test_formose_exports_are_pinned(self, formose_net5):
+        digest = hashlib.sha256(
+            (to_dot(formose_net5) + to_gml(formose_net5)).encode()).hexdigest()
+        assert digest == \
+            "c2fcf5be9b9a743182cf3049bc99b49edc95f533d15d64d6b7f61e781d949ddd"
+
     def test_empty_dot(self):
         assert to_dot(ReactionNetwork()) == "digraph RN {\n}"
 
