@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .core import GraphPool, LabeledGraph, connected_components, disjoint_union
-from .match import Pattern, constraint_nodes, find_monomorphisms, remap_constraint, satisfies
+from .match import NoEdge, Pattern, constraint_nodes, find_monomorphisms, remap_constraint
 from .rules import RuleGraph, apply as apply_rule
 from .chem.energy import EnergyModel, RateParams, estimate_energy, reaction_rate
 from .chem.molecule import Molecule, sanity_check
@@ -95,30 +95,88 @@ class _CompiledRule:
     pattern: Pattern                    # full left pattern
     components: list[Pattern]           # one sub-pattern per component
     members: list[tuple[int, ...]]      # full-pattern node ids per component
-    cross: tuple                        # constraints spanning components
+    # One entry per product of any match: the left components it joins and
+    # the number of nodes the rule creates in it; None when the rule graph
+    # alone cannot tell (see _product_table).
+    products: tuple[tuple[tuple[int, ...], int], ...] | None
+
+    def product_sizes(self, counts: list[int]) -> tuple[int, ...] | None:
+        """Node counts of the products, given those of the reactants."""
+        if self.products is None:
+            return None
+        return tuple(sum(counts[j] for j in comps) + created
+                     for comps, created in self.products)
 
 
 def _compile_rule(rule: RuleGraph) -> _CompiledRule:
     pattern, _ = rule.left_pattern()
-    comps = connected_components(pattern.graph)
     comp_patterns: list[Pattern] = []
     members: list[tuple[int, ...]] = []
-    claimed: list = []
-    for sub, mem in comps:
-        mem_set = set(mem)
-        local = []
-        for c in pattern.constraints:
-            if set(constraint_nodes(c)) <= mem_set:
-                local.append(remap_constraint(c, {p: i for i, p in enumerate(mem)}))
-                claimed.append(c)
-        comp_patterns.append(Pattern(sub, tuple(local), pattern.wildcard))
+    for sub, mem in connected_components(pattern.graph):
+        local_id = {p: i for i, p in enumerate(mem)}
+        # A constraint that spans components can only be a NoEdge (an
+        # EdgeLabel needs a pattern edge, the other kinds name one node).
+        # Different components match into different molecules of the
+        # disjoint union, so it always holds there and is left out.
+        local = tuple(remap_constraint(c, local_id) for c in pattern.constraints
+                      if all(p in local_id for p in constraint_nodes(c)))
+        comp_patterns.append(Pattern(sub, local, pattern.wildcard))
         members.append(mem)
-    cross = tuple(c for c in pattern.constraints if not _in_list(c, claimed))
-    return _CompiledRule(rule, pattern, comp_patterns, members, cross)
+    ext = pattern.graph.ext_ids
+    table = _product_table(rule, [[ext[p] for p in mem] for mem in members])
+    return _CompiledRule(rule, pattern, comp_patterns, members, table)
 
 
-def _in_list(c, seen: list) -> bool:
-    return any(c is s for s in seen)
+def _product_table(rule: RuleGraph, components: list[list[int]]):
+    """The products of every match of ``rule``, from the rule graph alone.
+
+    ``components`` holds the rule node ids of each left component.  On a
+    disjoint union of reactants (molecules are connected), one per left
+    component, the rule yields the reactants and created nodes joined by
+    right-side edges, provided that no reactant can split: the rule
+    deletes no node, and the endpoints of every deleted edge stay
+    connected through right-side edges.  Returns None when that is not
+    proven, or when a created edge joins two nodes of one left component
+    without a ``NoEdge`` guard: such a match may raise
+    :class:`~grw.rules.ApplicationError` in ``apply``, which a size
+    discard must not hide.
+    """
+    if any(nd.left is not None and nd.right is None for nd in rule.nodes):
+        return None
+    parent = {nd.id: nd.id for nd in rule.nodes}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for ed in rule.edges:
+        if ed.right is not None:
+            parent[find(ed.source)] = find(ed.target)
+    if any(ed.right is None and find(ed.source) != find(ed.target)
+           for ed in rule.edges):
+        return None
+    comp_of = {v: j for j, comp in enumerate(components) for v in comp}
+    guarded = {frozenset((c.source, c.target)) for c in rule.constraints
+               if isinstance(c, NoEdge)}
+    for ed in rule.edges:
+        if ed.left is None and ed.source in comp_of \
+                and comp_of[ed.source] == comp_of.get(ed.target) \
+                and frozenset((ed.source, ed.target)) not in guarded:
+            return None
+    # Each left component now lies in one class of right-side edges.
+    groups: dict[int, list] = {}
+    for j, comp in enumerate(components):
+        groups.setdefault(find(comp[0]), [[], 0])[0].append(j)
+    for nd in rule.nodes:
+        if nd.left is None:
+            groups.setdefault(find(nd.id), [[], 0])[1] += 1
+    return tuple((tuple(comps), created) for comps, created in groups.values())
+
+
+def _over_cap(sizes: tuple[int, ...] | None, cap: int | None) -> bool:
+    """Whether products sized from the rule break the atom cap."""
+    return sizes is not None and cap is not None and max(sizes) > cap
 
 
 def expand(inputs: list[Molecule], rules: list[RuleGraph],
@@ -131,6 +189,18 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
     products) goes through one :class:`~grw.core.GraphPool` per call, so
     stored graphs share equal rows and tuples; discarded and duplicate
     products never reach it.
+
+    Under ``cfg.max_atoms``, a reaction with a product over the cap is
+    discarded.  For a rule that deletes no node, keeps the endpoints of
+    every deleted edge connected through right-side edges, and guards
+    every edge it creates inside one left component with a ``NoEdge``
+    constraint, the product sizes follow from the reactant sizes alone,
+    and such a reaction is dropped before the rule is applied (rules
+    checked by :func:`~grw.chem.check_chem_rule` carry those guards; the
+    formose rules qualify except the retro-aldol, which splits a
+    molecule).  Other rules build their products and then test them.
+    A dropped reaction therefore logs no kekulization or sanity warning
+    for its other products.
     """
     net = ReactionNetwork(iterations=cfg.iterations)
     pool = GraphPool()
@@ -174,25 +244,19 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
                 per_comp = [matches_in(rule_idx, j, combo[j]) for j in range(k)]
                 if not all(per_comp):
                     continue
-                union, _ = disjoint_union(
-                    [net.molecules[c][0].graph for c in combo])
-                offsets = []
-                off = 0
-                for c in combo:
-                    offsets.append(off)
-                    off += net.molecules[c][0].graph.node_count
+                graphs = [net.molecules[c][0].graph for c in combo]
+                counts = [g.node_count for g in graphs]
+                sizes = cr.product_sizes(counts)
+                union = None if _over_cap(sizes, cfg.max_atoms) \
+                    else disjoint_union(graphs)[0]
+                offsets = list(itertools.accumulate(counts[:-1], initial=0))
                 for picks in itertools.product(*per_comp):
                     match = [0] * cr.pattern.graph.node_count
                     for j in range(k):
                         for local_idx, pat_node in enumerate(cr.members[j]):
                             match[pat_node] = picks[j][local_idx] + offsets[j]
-                    match = tuple(match)
-                    if cr.cross and not all(
-                            satisfies(c, union, match, cr.pattern.wildcard)
-                            for c in cr.cross):
-                        continue
-                    _process_match(cr, union, match, combo, i, cfg, net,
-                                   seen_reactions, energy_of, discovered, pool)
+                    _process_match(cr, union, tuple(match), combo, sizes, i, cfg,
+                                   net, seen_reactions, energy_of, discovered, pool)
 
         new_canons = sorted(set(discovered))
         elapsed = time.monotonic() - t0
@@ -203,11 +267,19 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
     return net
 
 
-def _process_match(cr: _CompiledRule, union: LabeledGraph, match: tuple,
-                   combo: tuple[str, ...], iteration: int,
-                   cfg: ExpansionConfig, net: ReactionNetwork,
+def _process_match(cr: _CompiledRule, union: LabeledGraph | None, match: tuple,
+                   combo: tuple[str, ...], sizes: tuple[int, ...] | None,
+                   iteration: int, cfg: ExpansionConfig, net: ReactionNetwork,
                    seen: set, energy_of, discovered: list[str],
                    pool: GraphPool) -> None:
+    """Apply one match and record its reaction, or discard it.
+
+    ``sizes`` are the product sizes predicted by the rule's product table
+    (None without one); over the cap, the match is dropped before anything
+    is built, and ``union`` is None.
+    """
+    if _over_cap(sizes, cfg.max_atoms):
+        return
     result = apply_rule(cr.rule, union, match)
     product_mols: list[tuple[str, Molecule]] = []
     for comp, _ in connected_components(result.graph):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
 from .core import GmlError, LabeledGraph, TokenStream, _edited, _normalize
 from .match import (Adjacency, MatchConstraint, NodeLabel, NoEdge, Pattern,
@@ -396,6 +396,9 @@ def apply(rule: RuleGraph, host: LabeledGraph, match: Sequence[int]) -> RewriteR
     return RewriteResult(graph, rule, host, tuple(match), origin)
 
 
+# A ``collections.abc`` alias, not a ``typing`` one: typing caches its
+# aliases for the life of the interpreter, and with them ``RewriteResult``,
+# which keeps every earlier copy of the package alive after a re-import.
 Reporter = Callable[[RewriteResult], bool | None]
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: brute-force enumeration, direct
 set arithmetic, array-based simulation.  None of it shares code with the
-algorithms under test beyond the public graph accessors.
+algorithms under test beyond the public graph accessors; the network
+expander builds only on the public layers below ``grw.network``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import itertools
 from random import Random
 
 from grw import (Adjacency, EdgeLabel, LabeledGraph, NodeDegree, NodeLabel,
-                 NoEdge, Pattern, RuleGraph)
+                 NoEdge, Pattern, RuleGraph, apply, connected_components,
+                 disjoint_union, find_monomorphisms)
+from grw.chem import (KekulizationError, Molecule, canonical_smiles,
+                      perceive_aromaticity, sanity_check)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +208,79 @@ def graph_as_sets(g: LabeledGraph) -> tuple[dict, dict]:
     """(node-id -> label, sorted-pair -> label) view of a graph."""
     return ({v: g.label(v) for v in range(g.node_count)},
             {(u, v): lbl for u, v, lbl in g.edges()})
+
+
+# ---------------------------------------------------------------------------
+# Network expansion by the plain product loop
+# ---------------------------------------------------------------------------
+
+def intermolecular_matches(pattern: Pattern, graphs) -> tuple[LabeledGraph, list]:
+    """The disjoint union of ``graphs`` and the matches of the whole
+    ``pattern`` into it that put its j-th connected component (ordered by
+    smallest pattern node) inside ``graphs[j]``."""
+    union, origin = disjoint_union(graphs)
+    block = [origin[v][0] for v in range(union.node_count)]
+    comp = [0] * pattern.graph.node_count
+    for j, (_, members) in enumerate(connected_components(pattern.graph)):
+        for p in members:
+            comp[p] = j
+    return union, [m for m in find_monomorphisms(pattern, union)
+                   if all(block[v] == comp[p] for p, v in enumerate(m))]
+
+
+def naive_expand(seeds, rules, iterations: int, max_atoms: int | None = None):
+    """Reference network growth with deduplicated reaction signatures.
+
+    Each iteration tries every rule on every ordered combination of the
+    molecules known when it starts, one per left component: full
+    :func:`apply`, every product perceived and fully sanity-checked, and
+    the reaction dropped when any product is over ``max_atoms``, cannot be
+    kekulized or fails a check.  Returns ``{canonical SMILES: first
+    iteration}`` and the set of ``(iteration, (rule id, reactants,
+    products))`` with reactants and products sorted.
+    """
+    known: dict[str, int] = {}
+    graphs: dict[str, LabeledGraph] = {}
+    for m in seeds:
+        m = perceive_aromaticity(m)
+        canon = canonical_smiles(m)
+        known.setdefault(canon, 0)
+        graphs.setdefault(canon, m.graph)
+    reactions: set = set()
+    seen: set = set()
+    for it in range(1, iterations + 1):
+        start = sorted(known)
+        for rule in rules:
+            pattern, _ = rule.left_pattern()
+            k = len(connected_components(pattern.graph))
+            for combo in itertools.product(start, repeat=k):
+                union, matches = intermolecular_matches(
+                    pattern, [graphs[c] for c in combo])
+                for match in matches:
+                    products = []
+                    for comp, _ in connected_components(apply(rule, union, match).graph):
+                        mol = Molecule(comp, {}, filled=True)
+                        if max_atoms is not None and mol.atom_count > max_atoms:
+                            break
+                        try:
+                            mol = perceive_aromaticity(mol)
+                        except KekulizationError:
+                            break
+                        if sanity_check(mol):
+                            break
+                        products.append((canonical_smiles(mol), mol.graph))
+                    else:
+                        sig = (rule.rule_id, tuple(sorted(combo)),
+                               tuple(sorted(c for c, _ in products)))
+                        if sig in seen:
+                            continue
+                        seen.add(sig)
+                        reactions.add((it, sig))
+                        for canon, g in products:
+                            if canon not in known:
+                                known[canon] = it
+                                graphs[canon] = g
+    return known, reactions
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 No module imports a name it never uses; package ``__init__`` modules are
 skipped, since their imports are the package's re-exports.  No module
 but ``core.py`` reads the storage attributes of ``LabeledGraph``, so
-that the way edges are stored is known in one place.
+that the way edges are stored is known in one place.  Importing the
+package again does not keep the old copy alive.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,24 @@ def test_storage_names_cover_the_slots():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "core.py"])
 def test_graph_storage_is_read_only_in_core(module):
     assert storage_reads((SRC / module).read_text()) == []
+
+
+REIMPORT = """
+import gc, sys, weakref
+import grw.rules
+old = weakref.ref(grw.rules.RewriteResult)
+for name in [m for m in sys.modules if m == "grw" or m.startswith("grw.")]:
+    del sys.modules[name]
+import grw.rules
+gc.collect()
+assert old() is None, "the first copy of grw is still alive"
+"""
+
+
+def test_reimported_package_frees_the_old_copy():
+    # Module-level objects must not be cached process-wide (typing caches
+    # its subscripted aliases), or every re-import keeps a copy alive.
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", REIMPORT], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -4,19 +4,22 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from grw import (apply, canonical_key, connected_components, disjoint_union,
-                 find_monomorphisms)
+from grw import (NoEdge, RuleEdge, RuleGraph, RuleNode, apply, canonical_key,
+                 connected_components, disjoint_union, find_monomorphisms)
 from grw.chem import (Molecule, canonical_smiles, fill_hydrogens,
                       load_energy_model, molecular_formula, perceive_aromaticity,
                       sanity_check)
-from grw.network import ExpansionConfig, ReactionNetwork, expand, to_dot, to_gml
+from grw.network import (ExpansionConfig, ReactionNetwork, _compile_rule, expand,
+                         to_dot, to_gml)
 
 from conftest import asset_text, load_rule, prep
+from oracles import intermolecular_matches, naive_expand
 
 FORMOSE_STATS = [(0, 2, 0), (1, 3, 1), (2, 5, 4), (3, 9, 10),
                  (4, 37, 44), (5, 302, 371)]
@@ -282,3 +285,108 @@ class TestExports:
         edge_lines = gml.count("edge [")
         arcs = sum(len(r.reactants) + len(r.products) for r in net.reactions)
         assert edge_lines == arcs
+
+
+# Formose at a 32-atom cap to iteration 8: most aldol matches are sized out
+# by the rule's product table before anything is built.
+FORMOSE_CAP_STATS = [(0, 2, 0), (1, 3, 1), (2, 5, 4), (3, 9, 10), (4, 31, 38),
+                     (5, 74, 130), (6, 123, 263), (7, 139, 420), (8, 140, 455)]
+FORMOSE_CAP_DIGEST = "3ff74f0085eec1ee5d20f99a6a350b31f7feb9d248a0f5f83852c54377f961ba"
+
+
+def without_noedge(rule: RuleGraph) -> RuleGraph:
+    return RuleGraph(rule.rule_id, rule.nodes, rule.edges,
+                     [c for c in rule.constraints if not isinstance(c, NoEdge)],
+                     rule.wildcard)
+
+
+class TestCappedExpansion:
+    def test_formose_cap_is_pinned(self, formose_rules, formose_inputs):
+        net = expand(formose_inputs, formose_rules,
+                     ExpansionConfig(iterations=8, max_atoms=32))
+        assert net.stats() == FORMOSE_CAP_STATS
+        digest = hashlib.sha256((to_dot(net) + to_gml(net)).encode()).hexdigest()
+        assert digest == FORMOSE_CAP_DIGEST
+
+    @pytest.mark.parametrize("cap", [None, 6, 8, 10, 12])
+    def test_formose_agrees_with_naive_expander(self, formose_rules,
+                                                formose_inputs, cap):
+        net = expand(formose_inputs, formose_rules,
+                     ExpansionConfig(iterations=4, max_atoms=cap))
+        molecules, reactions = naive_expand(formose_inputs, formose_rules, 4, cap)
+        assert {c: it for c, (_, it) in net.molecules.items()} == molecules
+        assert {(r.iteration, r.signature) for r in net.reactions} == reactions
+        assert len(net.reactions) == len(reactions)
+
+    @pytest.mark.parametrize("cap", [None, 22, 35])
+    def test_diels_alder_agrees_with_naive_expander(self, diels_alder_rule, cap):
+        seeds = [prep("CC(=C)C=C"), prep("CC=C")]
+        net = expand(seeds, [diels_alder_rule],
+                     ExpansionConfig(iterations=2, max_atoms=cap))
+        molecules, reactions = naive_expand(seeds, [diels_alder_rule], 2, cap)
+        assert {c: it for c, (_, it) in net.molecules.items()} == molecules
+        assert {(r.iteration, r.signature) for r in net.reactions} == reactions
+        assert len(net.reactions) == len(reactions)
+
+    def test_cross_component_noedge_changes_nothing(self, formose_rules,
+                                                    formose_inputs):
+        aldol = formose_rules[2]
+        assert aldol.rule_id == "Aldol Condensation"
+        assert any(isinstance(c, NoEdge) for c in aldol.constraints)
+        bare = formose_rules[:2] + [without_noedge(aldol)] + formose_rules[3:]
+        cfg = ExpansionConfig(iterations=4, max_atoms=12)
+        nets = [expand(formose_inputs, rules, cfg) for rules in (formose_rules, bare)]
+        assert to_dot(nets[0]) + to_gml(nets[0]) == to_dot(nets[1]) + to_gml(nets[1])
+
+
+class TestProductTable:
+    """``_compile_rule`` sizes the products of a rule from its graph alone."""
+
+    def test_which_formose_rules_get_a_table(self, formose_rules):
+        tables = {r.rule_id: _compile_rule(r).products for r in formose_rules}
+        assert tables == {
+            "Keto-Enol Isomerization": (((0,), 0),),
+            "Keto-Enol Isomerization (reverse)": (((0,), 0),),
+            "Aldol Condensation": (((0, 1), 0),),
+            "Aldol Condensation (reverse)": None,  # splits a molecule
+        }
+
+    def test_unguarded_created_edge_gets_no_table(self, formose_rules):
+        # Keto-enol creates O-H inside its one component; without the NoEdge
+        # guard, apply could collide with an existing edge.
+        assert _compile_rule(without_noedge(formose_rules[0])).products is None
+        # Aldol creates its edges between components, which never collide.
+        assert _compile_rule(without_noedge(formose_rules[2])).products is not None
+
+    def test_deleted_node_gets_no_table(self):
+        rule = RuleGraph("drop", [RuleNode(1, "C"), RuleNode(2, "H", None)],
+                         [RuleEdge(1, 2, "-", None)])
+        assert _compile_rule(rule).products is None
+
+    def test_created_nodes_are_counted(self):
+        rule = RuleGraph("grow", [RuleNode(1, "C", "C"), RuleNode(2, None, "O"),
+                                  RuleNode(3, None, "N")],
+                         [RuleEdge(1, 2, None, "-")])
+        cr = _compile_rule(rule)
+        assert sorted(cr.products) == [((), 1), ((0,), 1)]
+        host = prep("C").graph
+        (match, *_) = find_monomorphisms(cr.pattern, host)
+        sizes = sorted(len(m) for _, m in connected_components(apply(rule, host, match).graph))
+        assert sorted(cr.product_sizes([host.node_count])) == sizes == [1, 6]
+
+    def test_predicted_sizes_equal_applied_sizes(self, formose_rules, formose_net5):
+        graphs = [m.graph for m, it in formose_net5.molecules.values() if it <= 4]
+        checked = 0
+        for rule in formose_rules:
+            cr = _compile_rule(rule)
+            if cr.products is None:
+                continue
+            for combo in itertools.product(graphs, repeat=len(cr.components)):
+                predicted = sorted(cr.product_sizes([g.node_count for g in combo]))
+                union, matches = intermolecular_matches(cr.pattern, combo)
+                for match in matches:
+                    result = apply(rule, union, match)
+                    assert sorted(len(m) for _, m in
+                                  connected_components(result.graph)) == predicted
+                    checked += 1
+        assert checked > 300
