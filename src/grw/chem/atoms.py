@@ -61,19 +61,13 @@ class AtomLabel:
     aromatic: bool = False
 
     def render(self) -> str:
-        sym = self.element.lower() if self.aromatic else self.element
-        if self.charge == 0:
-            q = ""
-        elif self.charge == 1:
-            q = "+"
-        elif self.charge == -1:
-            q = "-"
-        elif self.charge > 0:
-            q = f"+{self.charge}"
-        else:
-            q = f"-{-self.charge}"
-        c = f":{self.cls}" if self.cls is not None else ""
-        return f"{sym}{q}{c}"
+        text = self.element.lower() if self.aromatic else self.element
+        if self.charge:
+            sign = "+" if self.charge > 0 else "-"
+            text += sign if abs(self.charge) == 1 else f"{sign}{abs(self.charge)}"
+        if self.cls is not None:
+            text += f":{self.cls}"
+        return text
 
 
 _LABEL_RE = re.compile(r"([A-Z][a-z]?|[bcnops])([+-][0-9]*)?(?::([0-9]+))?")

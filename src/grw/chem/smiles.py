@@ -7,12 +7,21 @@ bond symbols ``- = # :``, dot-separated components, and molecular-group
 placeholders ``[{NAME}]`` expanded through a registry.  Stereochemistry
 and isotopes are out of scope.
 
+Bracket atoms carry a node label's text (:mod:`grw.chem.atoms`) with the
+hydrogen count after the element symbol: reading decodes the charge and
+class with :func:`parse_atom_label`, writing renders them with
+:meth:`AtomLabel.render`.
+
 Canonical output ranks the hydrogen-suppressed molecule with the search
 of :func:`grw.match.canonical_form` (neighborhood refinement, then
 individualization of tied atoms, pruned by the automorphisms found) and
 writes the smallest SMILES over its leaves, so any node ordering of the
-same molecule yields byte-identical SMILES.  Writing uses explicit stacks
-and touches no interpreter setting.
+same molecule yields byte-identical SMILES.  The initial colours encode
+each atom's label and hydrogen count and the edge codes its bonds, so the
+written SMILES depends only on the ranked heavy-atom graph, as the search
+requires.  A molecule must be connected, with each hydrogen bonded to one
+heavy atom.  Writing uses explicit stacks and touches no interpreter
+setting.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ class SmilesError(ChemError):
         self.position = position
 
 
-_BRACKET_RE = re.compile(
-    r"([A-Z][a-z]?|[bcnops])(H([0-9]*))?([+-][0-9]*)?(?::([0-9]+))?")
+# Symbol, hydrogen count, then charge and class text for parse_atom_label.
+_BRACKET_RE = re.compile(r"([A-Z][a-z]?|[bcnops])(?:H([0-9]*))?([-+:].*)?")
 _TWO_LETTER = ("Cl", "Br")
 _AROMATIC_ORGANIC = "bcnops"
 _BOND_CHARS = "-=#:"
@@ -152,23 +161,16 @@ def parse_smiles(text: str, groups=None) -> list[Molecule]:
             m = _BRACKET_RE.fullmatch(inner)
             if not m:
                 raise SmilesError(f"malformed bracket atom [{inner}]", i)
-            sym, hpart, hcount, qpart, cls = m.groups()
-            aromatic = sym[0].islower()
-            element = sym.capitalize() if aromatic else sym
-            if element not in ELEMENTS:
+            sym, hcount, rest = m.groups()
+            if sym.capitalize() not in ELEMENTS:
                 raise SmilesError(f"unknown element {sym!r}", i)
-            if aromatic and element not in AROMATIC_ELEMENTS:
+            if sym.islower() and sym.capitalize() not in AROMATIC_ELEMENTS:
                 raise SmilesError(f"element {sym!r} cannot be aromatic", i)
-            h = 0 if hpart is None else (1 if hcount == "" else int(hcount))
-            if qpart is None:
-                charge = 0
-            elif qpart in ("+", "-"):
-                charge = 1 if qpart == "+" else -1
-            else:
-                charge = int(qpart[1:]) * (1 if qpart[0] == "+" else -1)
-            label = AtomLabel(element, charge, int(cls) if cls else None,
-                              aromatic).render()
-            add_atom(_Atom(label, aromatic, h, i))
+            atom = parse_atom_label(sym + (rest or ""))
+            if atom is None:
+                raise SmilesError(f"malformed bracket atom [{inner}]", i)
+            h = 0 if hcount is None else int(hcount or 1)
+            add_atom(_Atom(atom.render(), atom.aromatic, h, i))
             i = j + 1
         elif ch.isalpha() or ch == "*":
             sym = None
@@ -237,7 +239,6 @@ class _Heavy:
     atoms: list[AtomLabel]
     h_count: list[int]
     adj: list[dict[int, str]]
-    edges: list[tuple[int, int, str]]
 
 
 def _heavy_view(m: Molecule) -> _Heavy | None:
@@ -253,15 +254,15 @@ def _heavy_view(m: Molecule) -> _Heavy | None:
             raise ChemError(f"node {v} label {g.label(v)!r} is not an atom label")
         atoms.append(atom)
         h_count.append(sum(1 for u in g.neighbors(v) if g.label(u) == "H"))
+    if sum(h_count) != g.node_count - len(heavy):
+        raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
     adj: list[dict[int, str]] = [dict() for _ in heavy]
-    edges = []
     for u, v, lbl in g.edges():
         if u in index and v in index:
             a, b = index[u], index[v]
             adj[a][b] = lbl
             adj[b][a] = lbl
-            edges.append((a, b, lbl))
-    return _Heavy(atoms, h_count, adj, edges)
+    return _Heavy(atoms, h_count, adj)
 
 
 _BOND_RANK = {"-": 0, "=": 1, "#": 2, ":": 3}
@@ -280,28 +281,15 @@ def _initial_colors(h: _Heavy) -> list[int]:
 
 def _atom_token(atom: AtomLabel, h: int, heavy_single: int, heavy_aromatic: int) -> str:
     """Shortest token for an atom: bare organic-subset symbol when the
-    implicit-hydrogen rules reproduce the actual hydrogen count."""
-    sym = atom.element.lower() if atom.aromatic else atom.element
-    if atom.charge == 0 and atom.cls is None and atom.element in ORGANIC_SUBSET:
-        inferred = implicit_hydrogens(atom.element, 0, heavy_single, heavy_aromatic)
-        if inferred == h:
-            return sym
-    parts = [sym]
-    if h == 1:
-        parts.append("H")
-    elif h > 1:
-        parts.append(f"H{h}")
-    if atom.charge == 1:
-        parts.append("+")
-    elif atom.charge == -1:
-        parts.append("-")
-    elif atom.charge > 1:
-        parts.append(f"+{atom.charge}")
-    elif atom.charge < -1:
-        parts.append(f"-{-atom.charge}")
-    if atom.cls is not None:
-        parts.append(f":{atom.cls}")
-    return "[" + "".join(parts) + "]"
+    implicit-hydrogen rules reproduce the actual hydrogen count, else the
+    atom label with the hydrogen count after its symbol, in brackets."""
+    text = atom.render()
+    if atom.charge == 0 and atom.cls is None and atom.element in ORGANIC_SUBSET \
+            and implicit_hydrogens(atom.element, 0, heavy_single, heavy_aromatic) == h:
+        return text
+    k = len(atom.element)
+    hs = "" if h == 0 else "H" if h == 1 else f"H{h}"
+    return f"[{text[:k]}{hs}{text[k:]}]"
 
 
 def _emit(h: _Heavy, rank: list[int]) -> str:
@@ -309,10 +297,14 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
     n = len(h.atoms)
     root = rank.index(0)
 
-    # Depth-first spanning tree, children in rank order.
+    # Depth-first spanning tree, children in rank order.  A bond to an
+    # atom visited earlier that is not the parent closes a ring, opened
+    # at that earlier atom.
     parent: dict[int, int | None] = {root: None}
     preindex = {root: 0}
     tree_children: dict[int, list[int]] = {v: [] for v in range(n)}
+    back_open: dict[int, list[int]] = {v: [] for v in range(n)}
+    back_close: dict[int, list[int]] = {v: [] for v in range(n)}
     walk = [(root, iter(sorted(h.adj[root], key=rank.__getitem__)))]
     while walk:
         v, pending = walk[-1]
@@ -323,17 +315,13 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
                 tree_children[v].append(u)
                 walk.append((u, iter(sorted(h.adj[u], key=rank.__getitem__))))
                 break
+            if preindex[u] < preindex[v] and u != parent[v]:
+                back_open[u].append(v)
+                back_close[v].append(u)
         else:
             walk.pop()
-
-    back_open: dict[int, list[int]] = {v: [] for v in range(n)}
-    back_close: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b, lbl in h.edges:
-        if parent.get(a) == b or parent.get(b) == a:
-            continue
-        first, second = (a, b) if preindex[a] < preindex[b] else (b, a)
-        back_open[first].append(second)
-        back_close[second].append(first)
+    if len(preindex) < n:
+        raise ChemError("canonical_smiles requires a connected molecule")
 
     digit_of: dict[tuple[int, int], int] = {}
     free: list[int] = list(range(1, 100))
@@ -382,22 +370,9 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
     return "".join(out)
 
 
-def _certificate(h: _Heavy, colors: list[int], rank: list[int]) -> tuple:
-    """The heavy-atom view relabelled by ``rank``: initial colours (which
-    encode atom label and hydrogen count) in rank order, then bonds."""
-    by_rank = [0] * len(rank)
-    for v, r in enumerate(rank):
-        by_rank[r] = v
-    bonds = sorted((rank[a], rank[b], lbl) if rank[a] < rank[b] else (rank[b], rank[a], lbl)
-                   for a, b, lbl in h.edges)
-    return tuple(colors[v] for v in by_rank), tuple(bonds)
-
-
 def _canonical_string(h: _Heavy) -> str:
-    colors = _initial_colors(h)
     adj = [[(u, _BOND_RANK[lbl]) for u, lbl in a.items()] for a in h.adj]
-    return canonical_form(adj, colors, lambda rank: _emit(h, rank),
-                          lambda rank: _certificate(h, colors, rank))
+    return canonical_form(adj, _initial_colors(h), lambda rank: _emit(h, rank))
 
 
 def canonical_smiles(m: Molecule) -> str:

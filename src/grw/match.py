@@ -10,8 +10,9 @@ restrict the host neighborhood of matched nodes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import LabeledGraph
 
@@ -374,57 +375,70 @@ class _Node:
         return any(_root(parent, w) == root for w in self.explored)
 
 
+def _certificate(adj: Sequence[Sequence[tuple[int, int]]], rank: list[int],
+                 width: int) -> bytes:
+    """The edges of the graph relabelled by ``rank``, packed exactly: one
+    integer per edge, ordered like ``(rank_a, rank_b, code)`` with
+    ``rank_a < rank_b`` (``width`` exceeds every code), sorted."""
+    n = len(adj)
+    return array("q", sorted((rank[v] * n + rank[u]) * width + code
+                             for v, a in enumerate(adj) for u, code in a
+                             if rank[v] < rank[u])).tobytes()
+
+
 def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int],
-                   serialize: Callable[[list[int]], str],
-                   certify: Callable[[list[int]], Hashable] | None = None) -> str:
+                   serialize: Callable[[list[int]], str]) -> str:
     """The smallest ``serialize(rank)`` over the leaves of the search tree.
 
     ``adj[v]`` lists ``(u, code)`` for each neighbour ``u`` of ``v``, with
-    an integer code for the edge label; ``colors`` is the initial
-    colouring, compared as integers.  A node of the tree refines its
-    partition; if a cell has more than one member, the first such cell
+    a non-negative integer code for the edge label; ``colors`` is the
+    initial colouring, compared as integers.  A node of the tree refines
+    its partition; if a cell has more than one member, the first such cell
     (by colour) is split by individualizing each member in turn.  A leaf
     is a discrete partition, passed on as ``rank[v]`` in ``0..n-1``.
 
-    ``certify(rank)`` must be equal for two leaves exactly when the graph
-    relabelled by their ranks is the same; by default the serialization
-    itself is the certificate.  From the second leaf on, two leaves with
-    equal certificates give an automorphism.  The search then returns to
-    the node where the two leaves' paths part, and at each node skips
-    members of the target cell in the orbit of a member already explored,
-    under the automorphisms found so far that fix the node's path.  Only
-    subtrees whose leaves equal explored ones are skipped, so the result
+    ``serialize(rank)`` may depend only on the graph relabelled by
+    ``rank``: the initial colour and the edge codes at each rank.  The
+    search compares leaves by a certificate of its own, the relabelled
+    edges with their codes (every leaf ranks vertices by initial colour
+    first, so the colour at each rank is the same at every leaf), and
+    serializes only the first leaf and each leaf with a new certificate.
+    From the second leaf on, a leaf whose certificate was seen before
+    gives an automorphism.  The search then returns to the node where the
+    two leaves' paths part, and at each node skips members of the target
+    cell in the orbit of a member already explored, under the
+    automorphisms found so far that fix the node's path.  Only subtrees
+    whose leaves equal explored ones are skipped, so the result
     is the minimum over all leaves (McKay and Piperno 2014).
     """
     n = len(adj)
     nbrs, root_colors, root_cells = _refined(adj, colors)
     best = ""
+    width = 0
     first: tuple[tuple[int, ...], list[int]] | None = None
-    seen: dict[Hashable, tuple[tuple[int, ...], list[int]]] = {}
+    seen: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
     autos: list[list[int]] = []
     stack: list[_Node] = []
 
     def visit(path: tuple[int, ...], colors: list[int], cells: dict[int, list[int]]) -> None:
         """Push a non-leaf node, or score a leaf and return to where an
         equivalent leaf's path parts from this one."""
-        nonlocal best, first
+        nonlocal best, first, width
         if len(cells) < n:
             stack.append(_Node(path, colors, cells))
             return
         if first is None:
             first = (path, colors)
             best = serialize(colors)
-            if certify is None:
-                seen[best] = first
             return
-        if certify is not None and not seen:
-            seen[certify(first[1])] = first
-        cert = serialize(colors) if certify is None else certify(colors)
+        if not seen:
+            width = 1 + max((code for a in adj for _, code in a), default=0)
+            seen[_certificate(adj, first[1], width)] = first
+        cert = _certificate(adj, colors, width)
         prior = seen.get(cert)
         if prior is None:
             seen[cert] = (path, colors)
-            s = cert if certify is None else serialize(colors)
-            best = min(best, s)
+            best = min(best, serialize(colors))
             return
         prior_path, prior_colors = prior
         vertex_at = [0] * n

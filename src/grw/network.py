@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import GraphPool, LabeledGraph, connected_components, disjoint_union
 from .match import NoEdge, Pattern, constraint_nodes, find_monomorphisms, remap_constraint
-from .rules import RuleGraph, apply as apply_rule
+from .rules import RuleGraph, apply as apply_rule, reverse_rule
 from .chem.energy import EnergyModel, RateParams, estimate_energy, reaction_rate
 from .chem.molecule import Molecule, sanity_check
 from .chem.aromatic import KekulizationError, perceive_aromaticity
@@ -49,7 +49,6 @@ class ExpansionConfig:
     max_atoms: int | None = None
     rate_params: RateParams = field(default_factory=RateParams)
     energy_model: EnergyModel | None = None
-    dedup_products: bool = True
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -143,18 +142,10 @@ def _product_table(rule: RuleGraph, components: list[list[int]]):
     """
     if any(nd.left is not None and nd.right is None for nd in rule.nodes):
         return None
-    parent = {nd.id: nd.id for nd in rule.nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for ed in rule.edges:
-        if ed.right is not None:
-            parent[find(ed.source)] = find(ed.target)
-    if any(ed.right is None and find(ed.source) != find(ed.target)
-           for ed in rule.edges):
+    right = reverse_rule(rule).left_pattern()[0].graph
+    part = {right.ext_ids[p]: i
+            for i, (_, mem) in enumerate(connected_components(right)) for p in mem}
+    if any(ed.right is None and part[ed.source] != part[ed.target] for ed in rule.edges):
         return None
     comp_of = {v: j for j, comp in enumerate(components) for v in comp}
     guarded = {frozenset((c.source, c.target)) for c in rule.constraints
@@ -167,10 +158,10 @@ def _product_table(rule: RuleGraph, components: list[list[int]]):
     # Each left component now lies in one class of right-side edges.
     groups: dict[int, list] = {}
     for j, comp in enumerate(components):
-        groups.setdefault(find(comp[0]), [[], 0])[0].append(j)
+        groups.setdefault(part[comp[0]], [[], 0])[0].append(j)
     for nd in rule.nodes:
         if nd.left is None:
-            groups.setdefault(find(nd.id), [[], 0])[1] += 1
+            groups.setdefault(part[nd.id], [[], 0])[1] += 1
     return tuple((tuple(comps), created) for comps, created in groups.values())
 
 
@@ -301,7 +292,7 @@ def _process_match(cr: _CompiledRule, union: LabeledGraph | None, match: tuple,
     reactants = tuple(sorted(combo))
     products = tuple(sorted(c for c, _ in product_mols))
     signature = (cr.rule.rule_id, reactants, products)
-    if cfg.dedup_products and signature in seen:
+    if signature in seen:
         return
     seen.add(signature)
 

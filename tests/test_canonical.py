@@ -6,7 +6,9 @@ from random import Random
 
 import pytest
 
-from grw.chem import canonical_smiles, fill_hydrogens, parse_smiles
+from grw import canonical_key, disjoint_union
+from grw.chem import (ChemError, Molecule, canonical_smiles, fill_hydrogens, parse_smiles,
+                      perceive_aromaticity)
 from grw.network import ExpansionConfig, expand
 
 from conftest import permuted, prep
@@ -80,10 +82,33 @@ class TestFrozenExamples:
         assert canonical_smiles(prep(smiles)) == want
 
     def test_requires_filled_molecule(self):
-        from grw.chem import ChemError
         (m,) = parse_smiles("C")
         with pytest.raises(ChemError):
             canonical_smiles(m)
+
+
+def union(*smiles: str) -> Molecule:
+    """One filled molecule holding the given components side by side."""
+    graph, _ = disjoint_union([fill_hydrogens(parse_smiles(s)[0]).graph for s in smiles])
+    return Molecule(graph, {}, filled=True)
+
+
+class TestDisconnected:
+    """A molecule must be connected; one that is not is refused with a
+    ChemError instead of being misread."""
+
+    def test_two_heavy_components(self):
+        with pytest.raises(ChemError, match="connected"):
+            canonical_smiles(union("OCC=O", "C=O"))
+
+    def test_stray_hydrogen_molecule(self):
+        with pytest.raises(ChemError, match="hydrogen"):
+            canonical_smiles(union("OCC=O", "[H][H]"))
+
+    @pytest.mark.parametrize("second", ["C=O", "[H][H]"])
+    def test_expand_refuses_a_disconnected_seed(self, formose_rules, second):
+        with pytest.raises(ChemError):
+            expand([union("OCC=O", second)], formose_rules, ExpansionConfig(iterations=1))
 
 
 class TestInvariance:
@@ -136,3 +161,109 @@ class TestSeparationAndRoundtrip:
             heavy = sum(1 for v in m.graph.nodes()
                         if not m.graph.label(v).startswith("H"))
             assert heavy == 44
+
+
+# Bracket atoms outside ``data/canonical_strings.json``: charges of
+# magnitude two or more, charges with a class, hydrogen counts with a
+# charge, and charge or class text that parses to a shorter label.  Each
+# row is the input, the node labels the parser gives, then the canonical
+# SMILES and canonical key of the filled molecule.
+BRACKET_ATOMS = [
+    ('[O-2]', ['O-2'],
+     '[O-2]',
+     '1|O-2|'),
+    ('[S-2]', ['S-2'],
+     '[S-2]',
+     '1|S-2|'),
+    ('C[S+2]C', ['C', 'S+2', 'C'],
+     'C[S+2]C',
+     '9|C,C,H,H,H,H,H,H,S+2|0-2:-;0-3:-;0-4:-;0-8:-;1-5:-;1-6:-;1-7:-;1-8:-'),
+    ('[N-3]', ['N-3'],
+     '[N-3]',
+     '1|N-3|'),
+    ('[Fe+3]', ['Fe+3'],
+     '[Fe+3]',
+     '1|Fe+3|'),
+    ('[Cu+2]', ['Cu+2'],
+     '[Cu+2]',
+     '1|Cu+2|'),
+    ('[C-10]', ['C-10'],
+     '[C-10]',
+     '1|C-10|'),
+    ('C[O-:7]', ['C', 'O-:7'],
+     'C[O-:7]',
+     '5|C,H,H,H,O-:7|0-1:-;0-2:-;0-3:-;0-4:-'),
+    ('[O-:12]C(=O)C', ['O-:12', 'C', 'O', 'C'],
+     'CC([O-:12])=O',
+     '7|C,C,H,H,H,O,O-:12|0-1:-;0-2:-;0-3:-;0-4:-;1-5:=;1-6:-'),
+    ('CC[N+:5](C)(C)C', ['C', 'C', 'N+:5', 'C', 'C', 'C'],
+     'CC[N+:5](C)(C)C',
+     '20|C,C,C,C,C,H,H,H,H,H,H,H,H,H,H,H,H,H,H,N+:5|0-1:-;0-5:-;0-6:-;0-7:-;1-8:-;1-9:-;1-19:-;2-10:-;2-11:-;2-12:-;2-19:-;3-13:-;3-14:-;3-15:-;3-19:-;4-16:-;4-17:-;4-18:-;4-19:-'),
+    ('c1cc[nH+:4]cc1', ['c', 'c', 'c', 'n+:4', 'c', 'c'],
+     'c1cc[nH+:4]cc1',
+     '12|H,H,H,H,H,H,c,c,c,c,c,n+:4|0-6:-;1-7:-;2-8:-;3-9:-;4-10:-;5-11:-;6-7::;6-8::;7-9::;8-10::;9-11::;10-11::'),
+    ('[Cl-:9]', ['Cl-:9'],
+     '[Cl-:9]',
+     '1|Cl-:9|'),
+    ('[Fe+2:3]', ['Fe+2:3'],
+     '[Fe+2:3]',
+     '1|Fe+2:3|'),
+    ('[S-2:10]', ['S-2:10'],
+     '[S-2:10]',
+     '1|S-2:10|'),
+    ('C[NH2+]C', ['C', 'N+', 'C'],
+     'C[NH2+]C',
+     '11|C,C,H,H,H,H,H,H,H,H,N+|0-2:-;0-3:-;0-4:-;0-10:-;1-5:-;1-6:-;1-7:-;1-10:-;8-10:-;9-10:-'),
+    ('[SH-]', ['S-'],
+     '[SH-]',
+     '2|H,S-|0-1:-'),
+    ('c1cc[nH+]cc1', ['c', 'c', 'c', 'n+', 'c', 'c'],
+     'c1cc[nH+]cc1',
+     '12|H,H,H,H,H,H,c,c,c,c,c,n+|0-6:-;1-7:-;2-8:-;3-9:-;4-10:-;5-11:-;6-7::;6-8::;7-9::;8-10::;9-11::;10-11::'),
+    ('[PH4+]', ['P+'],
+     '[PH4+]',
+     '5|H,H,H,H,P+|0-4:-;1-4:-;2-4:-;3-4:-'),
+    ('[NH+](C)(C)C', ['N+', 'C', 'C', 'C'],
+     'C[NH+](C)C',
+     '14|C,C,C,H,H,H,H,H,H,H,H,H,H,N+|0-3:-;0-4:-;0-5:-;0-13:-;1-6:-;1-7:-;1-8:-;1-13:-;2-9:-;2-10:-;2-11:-;2-13:-;12-13:-'),
+    ('[NH3+:2]', ['N+:2'],
+     '[NH3+:2]',
+     '4|H,H,H,N+:2|0-3:-;1-3:-;2-3:-'),
+    ('[CH3-:3]', ['C-:3'],
+     '[CH3-:3]',
+     '4|C-:3,H,H,H|0-1:-;0-2:-;0-3:-'),
+    ('[OH2+]', ['O+'],
+     '[OH2+]',
+     '3|H,H,O+|0-2:-;1-2:-'),
+    ('[NH2+2]', ['N+2'],
+     '[NH2+2]',
+     '3|H,H,N+2|0-2:-;1-2:-'),
+    ('[OH-:6]C', ['O-:6', 'C'],
+     'C[OH-:6]',
+     '6|C,H,H,H,H,O-:6|0-1:-;0-2:-;0-3:-;0-5:-;4-5:-'),
+    ('[C+0]', ['C'],
+     '[C]',
+     '1|C|'),
+    ('[N+1](C)(C)(C)C', ['N+', 'C', 'C', 'C', 'C'],
+     'C[N+](C)(C)C',
+     '17|C,C,C,C,H,H,H,H,H,H,H,H,H,H,H,H,N+|0-4:-;0-5:-;0-6:-;0-16:-;1-7:-;1-8:-;1-9:-;1-16:-;2-10:-;2-11:-;2-12:-;2-16:-;3-13:-;3-14:-;3-15:-;3-16:-'),
+    ('[O-1:01]C', ['O-:1', 'C'],
+     'C[O-:1]',
+     '5|C,H,H,H,O-:1|0-1:-;0-2:-;0-3:-;0-4:-'),
+    ('[CH2+2]', ['C+2'],
+     '[CH2+2]',
+     '3|C+2,H,H|0-1:-;0-2:-'),
+]
+
+
+class TestBracketAtomText:
+    @pytest.mark.parametrize("smiles, labels, canon, key", BRACKET_ATOMS,
+                             ids=[row[0] for row in BRACKET_ATOMS])
+    def test_pinned(self, smiles, labels, canon, key):
+        (m,) = parse_smiles(smiles)
+        assert list(m.graph.node_labels) == labels
+        filled = perceive_aromaticity(fill_hydrogens(m))
+        assert canonical_smiles(filled) == canon
+        assert canonical_key(filled.graph) == key
+        (back,) = parse_smiles(canon)
+        assert canonical_smiles(perceive_aromaticity(fill_hydrogens(back))) == canon

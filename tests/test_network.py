@@ -206,12 +206,6 @@ class TestDielsAlderNetwork:
                   if r.reactants == ("C=CC(=C)C", "C=CC(=C)C")]
         assert len(dimers) == 4
 
-    def test_dedup_off_counts_every_rewrite(self, diels_alder_rule):
-        net = expand([prep("CC(=C)C=C"), prep("CC=C")], [diels_alder_rule],
-                     ExpansionConfig(iterations=1, dedup_products=False))
-        assert net.reaction_count == 12
-        assert net.molecule_count == 8
-
     def test_dot_export_shape(self, da_net):
         dot = to_dot(da_net)
         assert dot.count("[label=") == 8

@@ -1,8 +1,11 @@
-"""Property tests: canonical keys and dedup against the backtracking oracle.
+"""Property tests: canonical keys and dedup against the backtracking oracle,
+and canonical SMILES on generated molecules.
 
 Labels draw from plain letters and from short strings over an alphabet
 holding the key's separators, so a key that fails to escape them would
-give two different graphs the same string.
+give two different graphs the same string.  Generated molecules mix
+organic-subset atoms with charged, class-tagged and hydrogen-pinned ones,
+so their canonical SMILES hold bracket atoms.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from hypothesis import example, given, strategies as st
 
 from grw import LabeledGraph, NoEdge, RuleEdge, RuleGraph, RuleNode, apply_all, canonical_key
+from grw.chem import Molecule, canonical_smiles, fill_hydrogens, parse_smiles
 
 from oracles import isomorphic
 
@@ -98,3 +102,46 @@ def test_dedup_keeps_what_a_pairwise_scan_keeps(rule, host):
             kept.append(res)
     distinct = apply_all(rule, host, dedup=True)
     assert [r.match for r in distinct] == [r.match for r in kept]
+
+
+ATOMS = ["C", "C", "N", "O", "S", "Cl", "N+", "O-", "C:1", "N+:2", "O-2", "S+2", "Fe+3", "P-:12"]
+
+
+@st.composite
+def molecules(draw, max_heavy: int = 7) -> Molecule:
+    """A filled, connected molecule: a random tree of heavy atoms plus a
+    few ring bonds, with each atom's hydrogen count left to the valence
+    rules or pinned as by a bracket atom."""
+    n = draw(st.integers(1, max_heavy))
+    labels = draw(st.lists(st.sampled_from(ATOMS), min_size=n, max_size=n))
+    bonds = st.sampled_from("-=#")
+    edges = {(draw(st.integers(0, v - 1)), v): draw(bonds) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if pairs:
+        for pair in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2)):
+            edges[pair] = draw(bonds)
+    pinned = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=n, max_size=n))
+    graph = LabeledGraph.from_parts(labels, [(u, v, b) for (u, v), b in edges.items()])
+    return fill_hydrogens(Molecule(graph, {v: h for v, h in enumerate(pinned) if h is not None}))
+
+
+@st.composite
+def permuted_molecules(draw) -> tuple[Molecule, Molecule]:
+    m = draw(molecules())
+    perm = draw(st.permutations(range(m.graph.node_count)))
+    return m, Molecule(permute(m.graph, perm), {}, filled=True)
+
+
+@given(permuted_molecules())
+def test_canonical_smiles_ignores_node_order(pair):
+    m, p = pair
+    assert canonical_smiles(m) == canonical_smiles(p)
+
+
+@given(molecules())
+def test_canonical_smiles_reparses_to_a_fixed_point(m):
+    canon = canonical_smiles(m)
+    (back,) = parse_smiles(canon)
+    back = fill_hydrogens(back)
+    assert isomorphic(back.graph, m.graph), canon
+    assert canonical_smiles(back) == canon
