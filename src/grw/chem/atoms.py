@@ -33,8 +33,9 @@ BOND_ORDERS = {"-": 1.0, "=": 2.0, "#": 3.0, ":": 1.5}
 BOND_SYMBOLS = frozenset(BOND_ORDERS)
 
 # Allowed valences for the neutral organic subset.  Charge shifts the
-# allowed values: +charge for the nitrogen group, -|charge| for the
-# oxygen group (chalcogens), matching N+ tetravalent and O- monovalent.
+# allowed values of the nitrogen and oxygen groups by +charge: N+ is
+# tetravalent, O- monovalent and O+ trivalent (hydronium, oxonium,
+# pyrylium).
 _BASE_VALENCES: dict[str, tuple[int, ...]] = {
     "H": (1,),
     "B": (3,),
@@ -48,8 +49,7 @@ _BASE_VALENCES: dict[str, tuple[int, ...]] = {
     "Br": (1,),
     "I": (1,),
 }
-_NITROGEN_GROUP = frozenset({"N", "P"})
-_OXYGEN_GROUP = frozenset({"O", "S"})
+_CHARGE_SHIFTED = frozenset({"N", "P", "O", "S"})
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,9 @@ def allowed_valences(element: str, charge: int = 0) -> tuple[int, ...]:
         return ()
     if charge == 0:
         return base
-    if element in _NITROGEN_GROUP:
-        shifted = tuple(v + charge for v in base)
-    elif element in _OXYGEN_GROUP:
-        shifted = tuple(v - abs(charge) for v in base)
-    else:
+    if element not in _CHARGE_SHIFTED:
         return ()  # no charge rule outside the N/O groups
-    return tuple(v for v in shifted if v >= 0)
+    return tuple(v + charge for v in base if v + charge >= 0)
 
 
 def implicit_hydrogens(element: str, charge: int, single_sum: int,

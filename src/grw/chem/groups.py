@@ -136,11 +136,15 @@ class GroupRegistry:
 
 
 def parse_gml_groups(text: str) -> GroupRegistry:
-    """Parse a registry file: a sequence of ``group [ ... ]`` blocks."""
+    """Parse a registry file: a sequence of ``group [ ... ]`` blocks.
+
+    A group whose proxy is not one of its nodes, or that the registry
+    rejects, is reported at its ``group`` keyword.
+    """
     ts = TokenStream.from_text(text)
     registry = GroupRegistry()
     while not ts.at_end():
-        ts.expect_word("group")
+        start = ts.expect_word("group")
         ts.expect("[")
         name = None
         proxy = None
@@ -160,11 +164,12 @@ def parse_gml_groups(text: str) -> GroupRegistry:
         if name is None or proxy is None or graph is None:
             raise ts.error("group needs groupID, proxy and graph")
         if proxy not in graph.ext_ids:
-            raise GmlError(f"proxy {proxy} is not a node of group {name!r}", 1, 1)
+            raise GmlError(f"proxy {proxy} is not a node of group {name!r}",
+                           start.line, start.column)
         try:
             registry.add(Group(name, graph, graph.ext_ids.index(proxy)))
         except ChemError as exc:
-            raise GmlError(str(exc), 1, 1) from exc
+            raise GmlError(str(exc), start.line, start.column) from exc
     if len(registry) == 0:
         raise GmlError("no group definitions found", 1, 1)
     return registry

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import LabeledGraph, _edited
+from ..core import LabeledGraph, _edited, connected_components
 from .atoms import (AtomLabel, BOND_ORDERS, BOND_SYMBOLS, allowed_valences,
                     implicit_hydrogens, parse_atom_label)
 
@@ -103,7 +103,8 @@ def sanity_check(m: Molecule) -> list[Violation]:
     if g.node_count == 0:
         return [Violation("empty", None, "molecule has no atoms")]
 
-    if len(connected := _reachable(g)) != g.node_count:
+    # Components come ordered by their smallest atom: the first holds atom 0.
+    if len(connected := connected_components(g)[0][1]) != g.node_count:
         out.append(Violation("disconnected", None,
                              f"molecule is not connected ({len(connected)} of "
                              f"{g.node_count} atoms reachable from atom 0)"))
@@ -146,20 +147,6 @@ def sanity_check(m: Molecule) -> list[Violation]:
                 f"atom {v} ({g.label(v)}) has bond-order sum "
                 f"{single_sum + 1.5 * aromatic:g}, allowed valences {valences}"))
     return out
-
-
-def _reachable(g: LabeledGraph) -> set[int]:
-    if g.node_count == 0:
-        return set()
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
 
 
 def molecular_formula(m: Molecule) -> dict[str, int]:

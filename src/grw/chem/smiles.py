@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from ..core import LabeledGraph
 from ..match import canonical_form
 from .atoms import (AtomLabel, ORGANIC_SUBSET, implicit_hydrogens,
-                    parse_atom_label, ELEMENTS, AROMATIC_ELEMENTS)
+                    parse_atom_label, ELEMENTS)
 from .molecule import ChemError, Molecule
 
 
@@ -164,8 +164,6 @@ def parse_smiles(text: str, groups=None) -> list[Molecule]:
             sym, hcount, rest = m.groups()
             if sym.capitalize() not in ELEMENTS:
                 raise SmilesError(f"unknown element {sym!r}", i)
-            if sym.islower() and sym.capitalize() not in AROMATIC_ELEMENTS:
-                raise SmilesError(f"element {sym!r} cannot be aromatic", i)
             atom = parse_atom_label(sym + (rest or ""))
             if atom is None:
                 raise SmilesError(f"malformed bracket atom [{inner}]", i)

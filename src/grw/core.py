@@ -17,8 +17,8 @@ renumber adjacency mappings without re-checking them.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import re
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GmlError(ValueError):
@@ -238,13 +238,17 @@ def _edited(host: LabeledGraph, labels: Sequence[str], keep: Sequence[int],
 
 # -- GML ------------------------------------------------------------------
 
-_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGITS = set("0123456789")
-_OPS = set("=!<>")
+# One alternative per token kind; whitespace and comments match unnamed.
+# ``bad`` takes any other character, a lone ``"`` included, so the scan
+# covers the whole text.
+_TOKEN_RE = re.compile(r"""
+    [ \t\r]+ | \#[^\n]* | (?P<newline>\n)
+  | (?P<bracket>[][]) | (?P<op>[=!<>]) | "(?P<str>[^"\n]*)"
+  | (?P<int>-?[0-9]+) | (?P<word>[A-Za-z_]\w*) | (?P<bad>.)
+""", re.VERBOSE | re.ASCII)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'word' | 'int' | 'str' | 'op' | '[' | ']'
     value: str
     line: int
@@ -252,65 +256,31 @@ class Token:
 
 
 def tokenize_gml(text: str) -> list[Token]:
-    """Split GML-style text into tokens; ``#`` starts a comment to end of line."""
+    """Split GML-style text into tokens; ``#`` starts a comment to end of line.
+
+    One regular-expression scan.  Lines and columns are 1-based and a tab
+    counts as one column.  A string runs to the next ``"`` on its line;
+    without one it is an ``unterminated string`` at its opening quote.
+    Any character outside the token alphabet is an ``unexpected
+    character`` at its own position.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "[]":
-            tokens.append(Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _OPS:
-            tokens.append(Token("op", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise GmlError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise GmlError("unterminated string", start_line, start_col)
-            tokens.append(Token("str", text[i + 1:j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _WORD_START:
-            j = i + 1
-            while j < n and (text[j] in _WORD_START or text[j] in _DIGITS):
-                j += 1
-            tokens.append(Token("word", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise GmlError(f"unexpected character {ch!r}", start_line, start_col)
+        column = m.start() - line_start + 1
+        value = m.group(kind)
+        if kind == "bad":
+            if value == '"':
+                raise GmlError("unterminated string", line, column)
+            raise GmlError(f"unexpected character {value!r}", line, column)
+        tokens.append(Token(value if kind == "bracket" else kind, value, line, column))
     return tokens
 
 
@@ -363,6 +333,25 @@ class TokenStream:
         return GmlError(message, tok.line, tok.column)
 
 
+def _parse_element(ts: TokenStream, tok: Token) -> tuple[tuple[int, ...], str]:
+    """Read the ``[ ... ]`` after a ``node`` or ``edge`` keyword ``tok``.
+
+    ``node [ id N label "L" ]`` gives ``((N,), "L")`` and
+    ``edge [ source S target T label "L" ]`` gives ``((S, T), "L")``, keys
+    in that order.  Graphs, rules and groups all read elements here; each
+    caller checks the ids and labels against its own declarations.
+    """
+    ts.expect("[")
+    ids = []
+    for key in ("id",) if tok.value == "node" else ("source", "target"):
+        ts.expect_word(key)
+        ids.append(int(ts.expect("int", f"{tok.value} {key}").value))
+    ts.expect_word("label")
+    label = ts.expect("str", f"{tok.value} label").value
+    ts.expect("]")
+    return tuple(ids), label
+
+
 def _parse_graph_body(ts: TokenStream) -> tuple[list[tuple[int, str, Token]],
                                                 list[tuple[int, int, str, Token]]]:
     """Parse ``[ node ... edge ... ]`` returning raw node/edge declarations."""
@@ -376,24 +365,8 @@ def _parse_graph_body(ts: TokenStream) -> tuple[list[tuple[int, str, Token]],
         if tok.kind != "word" or tok.value not in ("node", "edge"):
             raise GmlError(f"expected 'node', 'edge' or ']', found {tok.value!r}",
                            tok.line, tok.column)
-        if tok.value == "node":
-            ts.expect("[")
-            ts.expect_word("id")
-            nid = int(ts.expect("int", "node id").value)
-            ts.expect_word("label")
-            lbl = ts.expect("str", "node label").value
-            ts.expect("]")
-            nodes.append((nid, lbl, tok))
-        else:
-            ts.expect("[")
-            ts.expect_word("source")
-            src = int(ts.expect("int", "edge source").value)
-            ts.expect_word("target")
-            tgt = int(ts.expect("int", "edge target").value)
-            ts.expect_word("label")
-            lbl = ts.expect("str", "edge label").value
-            ts.expect("]")
-            edges.append((src, tgt, lbl, tok))
+        ids, label = _parse_element(ts, tok)
+        (nodes if tok.value == "node" else edges).append((*ids, label, tok))
     return nodes, edges
 
 
@@ -435,9 +408,11 @@ def _graph_from_declarations(nodes: list[tuple[int, str, Token]],
 def parse_gml_graph(text: str) -> LabeledGraph:
     """Parse a ``graph [ ... ]`` block into a :class:`LabeledGraph`.
 
-    Node declarations must precede use; duplicate ids, duplicate edges and
-    edges to undeclared nodes are reported with the position of the
-    offending declaration.
+    Nodes and edges may be declared in any order: an edge may come before
+    the nodes it joins.  The declarations are checked once the block and
+    the text are read; duplicate ids, empty labels, self-loops, duplicate
+    edges and edges to undeclared nodes are reported with the position of
+    the offending declaration.
     """
     ts = TokenStream.from_text(text)
     ts.expect_word("graph")

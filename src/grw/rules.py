@@ -15,7 +15,8 @@ from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .core import GmlError, LabeledGraph, TokenStream, _edited, _normalize
+from .core import (GmlError, LabeledGraph, TokenStream, _edited, _normalize,
+                   _parse_element)
 from .match import (Adjacency, MatchConstraint, NodeLabel, NoEdge, Pattern,
                     canonical_key, constraint_nodes, find_monomorphisms,
                     is_monomorphism, remap_constraint)
@@ -257,27 +258,15 @@ def parse_gml_rule(text: str, groups=None) -> RuleGraph:
                 raise GmlError(f"expected a declaration, found {tok.value!r}",
                                tok.line, tok.column)
             if tok.value == "node":
-                ts.expect("[")
-                ts.expect_word("id")
-                nid = int(ts.expect("int", "node id").value)
-                ts.expect_word("label")
-                lbl = ts.expect("str", "node label").value
+                (nid,), lbl = _parse_element(ts, tok)
                 if lbl == "":
                     raise GmlError(f"node {nid} has an empty label", tok.line, tok.column)
-                ts.expect("]")
                 add_node(nid, section, lbl, tok)
             elif tok.value == "edge":
-                ts.expect("[")
-                ts.expect_word("source")
-                src = int(ts.expect("int", "edge source").value)
-                ts.expect_word("target")
-                tgt = int(ts.expect("int", "edge target").value)
-                ts.expect_word("label")
-                lbl = ts.expect("str", "edge label").value
+                (src, tgt), lbl = _parse_element(ts, tok)
                 if lbl == "":
                     raise GmlError(f"edge ({src}, {tgt}) has an empty label",
                                    tok.line, tok.column)
-                ts.expect("]")
                 if src == tgt:
                     raise GmlError(f"self-loop on node {src}", tok.line, tok.column)
                 add_edge(src, tgt, section, lbl, tok)
@@ -305,11 +294,8 @@ def parse_gml_rule(text: str, groups=None) -> RuleGraph:
     try:
         return RuleGraph(rule_id, nodes, edges, constraints, wildcard)
     except RuleError as exc:
-        raise GmlError(str(exc), *_end_of(ts)) from exc
-
-
-def _end_of(ts: TokenStream) -> tuple[int, int]:
-    return ts._end  # position info for errors detected after parsing
+        # The whole text is read, so this reports the end-of-text position.
+        raise ts.error(str(exc)) from exc
 
 
 # -- application -----------------------------------------------------------

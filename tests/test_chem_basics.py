@@ -9,6 +9,8 @@ from grw.chem import (AROMATIC_ELEMENTS, ORGANIC_SUBSET, ChemError, Molecule,
                       implicit_hydrogens, molecular_formula, parse_atom_label,
                       parse_molecule, parse_smiles, sanity_check)
 
+from conftest import prep
+
 
 class TestAtomLabels:
     @pytest.mark.parametrize("text, element, charge, cls, aromatic", [
@@ -58,6 +60,12 @@ class TestValences:
         ("Cl", 0, (1,)),
         ("Br", 0, (1,)),
         ("I", 0, (1,)),
+        ("O", -2, (0,)),
+        ("O", 1, (3,)),
+        ("N", -1, (2,)),
+        ("S", -1, (1, 3, 5)),
+        ("S", 1, (3, 5, 7)),
+        ("C", 1, ()),
     ])
     def test_table(self, element, charge, valences):
         assert allowed_valences(element, charge) == valences
@@ -213,6 +221,18 @@ class TestSanity:
         g = LabeledGraph.from_parts(["C", "C"], [(0, 1, ":")])
         problems = sanity_check(Molecule(g, {}, filled=True))
         assert any("aromatic" in str(p).lower() for p in problems)
+
+    @pytest.mark.parametrize("smiles", ["[OH3+]", "C[OH+]C", "C[O+](C)C", "c1cc[o+]cc1"])
+    def test_positive_oxygen_is_trivalent(self, smiles):
+        prep(smiles)
+
+    def test_disconnected_molecule_reported(self):
+        from grw import LabeledGraph
+        g = LabeledGraph.from_parts(["H", "H", "Cl", "H"], [(0, 3, "-"), (1, 2, "-")])
+        problems = sanity_check(Molecule(g, {}, filled=True))
+        assert [(p.kind, p.node, p.message) for p in problems] == [
+            ("disconnected", None,
+             "molecule is not connected (2 of 4 atoms reachable from atom 0)")]
 
     def test_unknown_label_reported(self):
         from grw import LabeledGraph

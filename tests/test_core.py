@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -9,9 +10,13 @@ import pytest
 from grw import (GmlError, GraphPool, LabeledGraph, connected_components,
                  disjoint_union, parse_gml_graph, write_gml_graph)
 from grw.chem import fill_hydrogens, parse_smiles
+from grw.core import tokenize_gml
 
+import gml_corpus
 from conftest import assert_same_as_rebuild
 from oracles import random_graph
+
+GML_CORPUS = json.loads(gml_corpus.CORPUS.read_text())["entries"]
 
 TRIANGLE = LabeledGraph.from_parts(
     ["A", "B", "C"], [(0, 1, "x"), (1, 2, "y"), (0, 2, "z")])
@@ -126,6 +131,40 @@ class TestGml:
         with pytest.raises(GmlError) as err:
             parse_gml_graph(text)
         assert fragment in str(err.value)
+
+    def test_tokens(self):
+        toks = tokenize_gml('key_2 -12 7"s t"# c ]\n\t[ ]=<!>x1')
+        assert [(t.kind, t.value, t.line, t.column) for t in toks] == [
+            ("word", "key_2", 1, 1), ("int", "-12", 1, 7), ("int", "7", 1, 11),
+            ("str", "s t", 1, 12), ("[", "[", 2, 2), ("]", "]", 2, 4),
+            ("op", "=", 2, 5), ("op", "<", 2, 6), ("op", "!", 2, 7),
+            ("op", ">", 2, 8), ("word", "x1", 2, 9)]
+
+    @pytest.mark.parametrize("text, message", [
+        ('graph [\n  node [ id 1 label "A ]\n]', "unterminated string (line 2, column 21)"),
+        ('a "', "unterminated string (line 1, column 3)"),
+        ("graph [ ]\n\t@", "unexpected character '@' (line 2, column 2)"),
+        ("a - 1", "unexpected character '-' (line 1, column 3)"),
+        ("a\r\n  \u00e9", "unexpected character '\u00e9' (line 2, column 3)"),
+    ])
+    def test_token_errors(self, text, message):
+        with pytest.raises(GmlError) as err:
+            tokenize_gml(text)
+        assert str(err.value) == message
+
+    def test_edge_may_precede_its_nodes(self):
+        g = parse_gml_graph('graph [ edge [ source 2 target 1 label "-" ] '
+                            'node [ id 1 label "A" ] node [ id 2 label "B" ] ]')
+        assert g.ext_ids == (1, 2) and g.edges() == [(0, 1, "-")]
+
+    @pytest.mark.parametrize("base", gml_corpus.base_names())
+    def test_mutated_texts_keep_their_recorded_outcome(self, base):
+        text = gml_corpus.base_text(base)
+        entries = [e for e in GML_CORPUS if e["base"] == base]
+        assert entries and entries[0]["edits"] == []
+        for entry in entries:
+            got = gml_corpus.outcome(base, gml_corpus.apply_edits(text, entry["edits"]))
+            assert got == entry["outcome"], entry["edits"]
 
     def test_roundtrip_random_graphs(self):
         rng = Random(20260816)

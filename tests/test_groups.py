@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from grw import parse_gml_rule
+from grw import GmlError, parse_gml_rule
 from grw.chem import (ChemError, Group, GroupRegistry, canonical_smiles,
                       fill_hydrogens, parse_gml_groups, parse_molecule,
                       parse_smiles, perceive_aromaticity, sanity_check)
@@ -51,6 +51,21 @@ class TestRegistry:
         with pytest.raises(ChemError):
             nadh_registry.add(Group("CONH2",
                                     parse_molecule("C=O").graph, proxy=0))
+
+    @pytest.mark.parametrize("second, message", [
+        ('group [ groupID "B" proxy 5 graph [ node [ id 0 label "C" ] ] ]',
+         "proxy 5 is not a node of group 'B'"),
+        ('group [ groupID "B" proxy 0 graph [ node [ id 0 label "Zz" ] ] ]',
+         "group 'B': node 0 label 'Zz' is not an atom"),
+        ('group [ groupID "A" proxy 0 graph [ node [ id 0 label "N" ] ] ]',
+         "duplicate group 'A'"),
+    ])
+    def test_group_errors_point_at_their_group(self, second, message):
+        text = ('group [ groupID "A" proxy 0 graph [ node [ id 0 label "C" ] ] ]\n'
+                f"\n  {second}\n")
+        with pytest.raises(GmlError) as err:
+            parse_gml_groups(text)
+        assert str(err.value) == f"{message} (line 3, column 3)"
 
 
 class TestSmilesPlaceholders:

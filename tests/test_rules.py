@@ -9,8 +9,8 @@ from random import Random
 
 import pytest
 
-from grw import (ApplicationError, LabeledGraph, NoEdge, RuleEdge, RuleError,
-                 RuleGraph, RuleNode, apply, apply_all, are_isomorphic,
+from grw import (ApplicationError, GmlError, LabeledGraph, NoEdge, RuleEdge,
+                 RuleError, RuleGraph, RuleNode, apply, apply_all, are_isomorphic,
                  disjoint_union, explore, find_monomorphisms, parse_gml_rule,
                  reverse_rule)
 from grw.chem import fill_hydrogens, parse_smiles
@@ -92,6 +92,45 @@ class TestRuleGml:
     def test_readme_names_only_rule_file_conditions(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         assert set(re.findall(r"`(constrain[A-Z]\w*)`", readme)) == set(_CONSTRAINT_KINDS)
+
+    @pytest.mark.parametrize("sections, message, line, column", [
+        (['  left [ node [ id 1 label "A" ] ]', "  left [ ]"],
+         "duplicate section 'left'", 4, 3),
+        (['  context [ node [ id 1 label "A" ] ]', "  right [",
+          "    constrainAdj [ id 1 op = count 1 ]", "  ]"],
+         "constraints are not allowed in the right section", 5, 5),
+        (["  left [", '    node [ id 1 label "" ]', "  ]"],
+         "node 1 has an empty label", 4, 5),
+        (['  context [ node [ id 1 label "A" ] node [ id 2 label "A" ] ]',
+          '  left [ edge [ source 1 target 2 label "" ] ]'],
+         "edge (1, 2) has an empty label", 4, 10),
+        (["  context [", '    node [ id 1 label "A" ]',
+          '    edge [ source 1 target 1 label "-" ]', "  ]"],
+         "self-loop on node 1", 5, 5),
+        (['  context [ node [ id 1 label "A" ] ]', '  left [ node [ id 1 label "B" ] ]'],
+         "node 1 already has a left label", 4, 10),
+        (['  context [ node [ id 1 label "A" ] node [ id 2 label "A" ] ]', "  left [",
+          '    edge [ source 1 target 2 label "-" ]',
+          '    edge [ source 2 target 1 label "=" ]', "  ]"],
+         "edge (2, 1) already has a left label", 6, 5),
+        (["  middle [ ]"], "unknown rule section 'middle'", 3, 3),
+        # Found only once the whole rule is read: reported at the end of
+        # the text, here the line after the closing bracket.
+        (["  context [", '    node [ id 1 label "A" ]',
+          '    edge [ source 1 target 2 label "-" ]', "  ]"],
+         "edge (1, 2) references undeclared node 2", 8, 1),
+    ])
+    def test_malformed_rule_position(self, sections, message, line, column):
+        text = "\n".join(['rule [', '  ruleID "r"', *sections, "]", ""])
+        with pytest.raises(GmlError) as err:
+            parse_gml_rule(text)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_trailing_content_position(self):
+        with pytest.raises(GmlError) as err:
+            parse_gml_rule('rule [\n  ruleID "r"\n]\n  rule')
+        assert str(err.value) == "trailing content after rule block (line 4, column 3)"
 
     def test_invalid_rules_rejected(self):
         with pytest.raises(RuleError):
