@@ -110,8 +110,10 @@ def _pi_contribution(m: Molecule, v: int) -> int | None:
     if el == "C" and q == 0:
         if not has_double:
             return None
-        if any(parse_atom_label(lbl) and parse_atom_label(lbl).element == "O"
-               for lbl in doubles_to):
+        # A carbonyl carbon donates none; a C=[O+] bond lies in the ring,
+        # where the O+ takes part itself (pyrylium).
+        if any(a is not None and a.element == "O" and a.charge == 0
+               for a in map(parse_atom_label, doubles_to)):
             return 0
         return 1
     if el in ("N", "P"):
@@ -120,8 +122,11 @@ def _pi_contribution(m: Molecule, v: int) -> int | None:
         if q == 1:
             return 1 if has_double else None
         return None
-    if el in ("O", "S") and q == 0:
-        return None if has_double else 2
+    if el in ("O", "S"):
+        if q == 0:
+            return None if has_double else 2
+        if q == 1:
+            return 1 if has_double else None
     return None
 
 

@@ -138,8 +138,8 @@ class GroupRegistry:
 def parse_gml_groups(text: str) -> GroupRegistry:
     """Parse a registry file: a sequence of ``group [ ... ]`` blocks.
 
-    A group whose proxy is not one of its nodes, or that the registry
-    rejects, is reported at its ``group`` keyword.
+    A group that lacks a key, whose proxy is not one of its nodes, or that
+    the registry rejects, is reported at its ``group`` keyword.
     """
     ts = TokenStream.from_text(text)
     registry = GroupRegistry()
@@ -162,7 +162,7 @@ def parse_gml_groups(text: str) -> GroupRegistry:
                 raise ts.error(f"unexpected key {key!r} in group")
         ts.expect("]")
         if name is None or proxy is None or graph is None:
-            raise ts.error("group needs groupID, proxy and graph")
+            raise GmlError("group needs groupID, proxy and graph", start.line, start.column)
         if proxy not in graph.ext_ids:
             raise GmlError(f"proxy {proxy} is not a node of group {name!r}",
                            start.line, start.column)

@@ -10,24 +10,16 @@ restrict the host neighborhood of matched nodes.
 
 from __future__ import annotations
 
+import operator
 from array import array
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import LabeledGraph
 
-_CMP_OPS = ("=", "!", "<", ">")
+# Count comparisons by constraint operator; ``<`` and ``>`` are strict.
+_COMPARE = {"=": operator.eq, "!": operator.ne, "<": operator.lt, ">": operator.gt}
 _EQ_OPS = ("=", "!")
-
-
-def _check_count(op: str, have: int, want: int) -> bool:
-    if op == "=":
-        return have == want
-    if op == "!":
-        return have != want
-    if op == "<":
-        return have < want
-    return have > want
 
 
 @dataclass(frozen=True)
@@ -80,6 +72,10 @@ class NodeDegree:
 
 MatchConstraint = NodeLabel | Adjacency | NoEdge | EdgeLabel | NodeDegree
 
+# A compiled constraint, called as ``check(image, labels, nbrs)`` with the
+# host's ``node_labels`` and its ``neighbors`` method.
+Check = Callable[[Sequence[int], Sequence[str], Callable[[int], dict[int, str]]], bool]
+
 
 def constraint_nodes(c: MatchConstraint) -> tuple[int, ...]:
     """The pattern nodes a constraint refers to."""
@@ -95,78 +91,100 @@ def remap_constraint(c: MatchConstraint, mapping: dict[int, int]) -> MatchConstr
     return replace(c, source=mapping[c.source], target=mapping[c.target])
 
 
-@dataclass
-class Pattern:
-    """A pattern graph plus optional wildcard label and constraints."""
-
-    graph: LabeledGraph
-    constraints: Sequence[MatchConstraint] = ()
-    wildcard: str | None = None
-
-    def __post_init__(self) -> None:
-        n = self.graph.node_count
-        for c in self.constraints:
-            for v in constraint_nodes(c):
-                if not 0 <= v < n:
-                    raise ValueError(f"constraint references unknown pattern node {v}")
-            if isinstance(c, (NodeLabel, EdgeLabel)) and c.op not in _EQ_OPS:
-                raise ValueError(f"operator {c.op!r} is not valid for label constraints")
-            if isinstance(c, (Adjacency, NodeDegree)) and c.op not in _CMP_OPS:
-                raise ValueError(f"unknown constraint operator {c.op!r}")
-            if isinstance(c, NoEdge) and c.source == c.target:
-                raise ValueError("NoEdge endpoints must be distinct")
-            if isinstance(c, EdgeLabel) and not self.graph.has_edge(c.source, c.target):
-                raise ValueError("EdgeLabel constraint requires the pattern edge to exist")
+def _accepts_all(labels: frozenset[str], wildcard: str | None) -> bool:
+    """Whether a constraint's label set holds the pattern's wildcard, which
+    accepts every label."""
+    return wildcard is not None and wildcard in labels
 
 
-def satisfies(c: MatchConstraint, host: LabeledGraph, image: Sequence[int],
-              wildcard: str | None) -> bool:
-    """Evaluate one constraint; every referenced pattern node must be mapped."""
-    if isinstance(c, NodeLabel):
-        ok = host.label(image[c.node]) in c.labels or (wildcard is not None and wildcard in c.labels)
-        return ok if c.op == "=" else not ok
-    if isinstance(c, Adjacency):
-        any_node = not c.node_labels or (wildcard is not None and wildcard in c.node_labels)
-        any_edge = not c.edge_labels or (wildcard is not None and wildcard in c.edge_labels)
+def _always(image, labels, nbrs) -> bool:
+    return True
+
+
+def _never(image, labels, nbrs) -> bool:
+    return False
+
+
+def _adjacency_check(c: Adjacency, wildcard: str | None) -> Check:
+    p, count, cmp = c.node, c.count, _COMPARE[c.op]
+    # An empty set accepts every label, as the wildcard does.
+    nodes = None if not c.node_labels or _accepts_all(c.node_labels, wildcard) else c.node_labels
+    edges = None if not c.edge_labels or _accepts_all(c.edge_labels, wildcard) else c.edge_labels
+    if nodes is None and edges is None:
+        return lambda image, labels, nbrs: cmp(len(nbrs(image[p])), count)
+    # Once this many neighbours are counted, more cannot change the result.
+    decided = count if c.op == "<" else count + 1
+    if edges is None:
+        def count_nodes(image, labels, nbrs):
+            have = 0
+            for u in nbrs(image[p]):
+                if labels[u] in nodes:
+                    have += 1
+                    if have >= decided:
+                        break
+            return cmp(have, count)
+        return count_nodes
+
+    def count_edges(image, labels, nbrs):
         have = 0
-        for u, elbl in host.neighbors(image[c.node]).items():
-            if not any_edge and elbl not in c.edge_labels:
-                continue
-            if not any_node and host.label(u) not in c.node_labels:
-                continue
-            have += 1
-        return _check_count(c.op, have, c.count)
-    if isinstance(c, NoEdge):
-        return not host.has_edge(image[c.source], image[c.target])
-    if isinstance(c, EdgeLabel):
-        lbl = host.edge_label(image[c.source], image[c.target])
-        if lbl is None:
-            return False
-        ok = lbl in c.labels or (wildcard is not None and wildcard in c.labels)
-        return ok if c.op == "=" else not ok
+        for u, lbl in nbrs(image[p]).items():
+            if lbl in edges and (nodes is None or labels[u] in nodes):
+                have += 1
+                if have >= decided:
+                    break
+        return cmp(have, count)
+    return count_edges
+
+
+def _compile_constraint(c: MatchConstraint, wildcard: str | None) -> Check:
+    """One predicate for ``c``, specialised on its kind, operator, label
+    sets and the pattern's wildcard; every node ``c`` refers to must be
+    mapped when it is called."""
+    if isinstance(c, NodeLabel):
+        p, accepted = c.node, c.labels
+        if _accepts_all(accepted, wildcard):
+            return _always if c.op == "=" else _never
+        if c.op == "=":
+            return lambda image, labels, nbrs: labels[image[p]] in accepted
+        return lambda image, labels, nbrs: labels[image[p]] not in accepted
+    if isinstance(c, Adjacency):
+        return _adjacency_check(c, wildcard)
     if isinstance(c, NodeDegree):
-        return _check_count(c.op, host.degree(image[c.node]), c.count)
+        p, count, cmp = c.node, c.count, _COMPARE[c.op]
+        return lambda image, labels, nbrs: cmp(len(nbrs(image[p])), count)
+    if isinstance(c, NoEdge):
+        s, t = c.source, c.target
+        return lambda image, labels, nbrs: image[t] not in nbrs(image[s])
+    if isinstance(c, EdgeLabel):
+        s, t, accepted = c.source, c.target, c.labels
+        if _accepts_all(accepted, wildcard):
+            if c.op == "=":
+                return lambda image, labels, nbrs: image[t] in nbrs(image[s])
+            return _never
+        if c.op == "=":
+            return lambda image, labels, nbrs: nbrs(image[s]).get(image[t]) in accepted
+        def differs(image, labels, nbrs):
+            lbl = nbrs(image[s]).get(image[t])
+            return lbl is not None and lbl not in accepted
+        return differs
     raise TypeError(f"unknown constraint {c!r}")
 
 
-def check_constraints(pattern: Pattern, host: LabeledGraph,
-                      image: Sequence[int]) -> bool:
-    """Evaluate all constraints of a completely mapped pattern."""
-    return all(satisfies(c, host, image, pattern.wildcard) for c in pattern.constraints)
+class _Step(NamedTuple):
+    """What the search does when it maps the ``t``-th node of the order.
 
-
-def is_monomorphism(pattern: Pattern, host: LabeledGraph, image: Sequence[int]) -> bool:
-    """Whether the injective ``image`` maps the pattern's node labels and
-    labelled edges onto ``host``, the pattern's wildcard matching any label.
-    Constraints are not evaluated (see :func:`check_constraints`)."""
-    pg, wc = pattern.graph, pattern.wildcard
-    if any(lbl != wc and host.label(image[p]) != lbl for p, lbl in enumerate(pg.node_labels)):
-        return False
-    for u, v, lbl in pg.edges():
-        hl = host.edge_label(image[u], image[v])
-        if hl is None or (lbl != wc and hl != lbl):
-            return False
-    return True
+    Labels are ``None`` where the pattern has its wildcard.  Candidates are
+    the host neighbours, along ``anchor``, of the image of an earlier node
+    (all host nodes when there is no earlier neighbour); ``backs`` are the
+    other edges to earlier nodes, and ``checks`` the constraints whose last
+    node is mapped here.
+    """
+    node: int
+    label: str | None
+    degree: int
+    anchor: tuple[int, str | None] | None
+    backs: tuple[tuple[int, str | None], ...]
+    checks: tuple[Check, ...]
 
 
 def _search_order(g: LabeledGraph) -> list[int]:
@@ -192,82 +210,145 @@ def _search_order(g: LabeledGraph) -> list[int]:
     return ordered
 
 
+def _compile(pattern: Pattern) -> tuple[_Step, ...]:
+    """The search plan of a pattern: one step per node, in search order."""
+    pg, wc = pattern.graph, pattern.wildcard
+    order = _search_order(pg)
+    step_of = {p: t for t, p in enumerate(order)}
+    checks_at: list[list[Check]] = [[] for _ in order]
+    for c in pattern.constraints:
+        last = max(step_of[v] for v in constraint_nodes(c))
+        checks_at[last].append(_compile_constraint(c, wc))
+    steps = []
+    for t, p in enumerate(order):
+        backs = sorted(((q, None if lbl == wc else lbl)
+                        for q, lbl in pg.neighbors(p).items() if step_of[q] < t),
+                       key=lambda e: step_of[e[0]])
+        label = pg.label(p)
+        steps.append(_Step(p, None if label == wc else label, pg.degree(p),
+                           backs[0] if backs else None, tuple(backs[1:]),
+                           tuple(checks_at[t])))
+    return tuple(steps)
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """A pattern graph plus optional wildcard label and constraints.
+
+    A pattern is immutable: its constraints, given as any sequence, are
+    kept as a tuple.  It is compiled once, on construction, into the search
+    plan that every :func:`find_monomorphisms` call with it runs, so the
+    plan cannot go stale.
+    """
+
+    graph: LabeledGraph
+    constraints: tuple[MatchConstraint, ...] = ()
+    wildcard: str | None = None
+    _plan: tuple[_Step, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "constraints", tuple(self.constraints))
+        n = self.graph.node_count
+        for c in self.constraints:
+            for v in constraint_nodes(c):
+                if not 0 <= v < n:
+                    raise ValueError(f"constraint references unknown pattern node {v}")
+            if isinstance(c, (NodeLabel, EdgeLabel)) and c.op not in _EQ_OPS:
+                raise ValueError(f"operator {c.op!r} is not valid for label constraints")
+            if isinstance(c, (Adjacency, NodeDegree)) and c.op not in _COMPARE:
+                raise ValueError(f"unknown constraint operator {c.op!r}")
+            if isinstance(c, NoEdge) and c.source == c.target:
+                raise ValueError("NoEdge endpoints must be distinct")
+            if isinstance(c, EdgeLabel) and not self.graph.has_edge(c.source, c.target):
+                raise ValueError("EdgeLabel constraint requires the pattern edge to exist")
+        object.__setattr__(self, "_plan", _compile(self))
+
+
+def check_constraints(pattern: Pattern, host: LabeledGraph,
+                      image: Sequence[int]) -> bool:
+    """Evaluate all constraints of a completely mapped pattern.
+
+    The predicates are the ones the pattern compiled once, when it was
+    built, and :func:`find_monomorphisms` evaluates during its search, so
+    both agree on every constraint."""
+    labels, nbrs = host.node_labels, host.neighbors
+    return all(check(image, labels, nbrs) for step in pattern._plan for check in step.checks)
+
+
+def is_monomorphism(pattern: Pattern, host: LabeledGraph, image: Sequence[int]) -> bool:
+    """Whether the injective ``image`` maps the pattern's node labels and
+    labelled edges onto ``host``, the pattern's wildcard matching any label.
+    Constraints are not evaluated (see :func:`check_constraints`)."""
+    pg, wc = pattern.graph, pattern.wildcard
+    if any(lbl != wc and host.label(image[p]) != lbl for p, lbl in enumerate(pg.node_labels)):
+        return False
+    for u, v, lbl in pg.edges():
+        hl = host.edge_label(image[u], image[v])
+        if hl is None or (lbl != wc and hl != lbl):
+            return False
+    return True
+
+
 def find_monomorphisms(pattern: Pattern | LabeledGraph,
                        host: LabeledGraph) -> list[tuple[int, ...]]:
     """All constraint-satisfying monomorphisms of ``pattern`` into ``host``.
 
     Each match is a tuple ``m`` with ``m[i]`` the host node for pattern
     node ``i``.  The list is sorted lexicographically by that tuple.  Two
-    runs on identical inputs return identical lists.  The search recurses
-    once per pattern node and enumerates every match; to decide whether
-    two graphs are isomorphic use :func:`are_isomorphic`.
+    runs on identical inputs return identical lists.  The search runs the
+    plan the immutable :class:`Pattern` compiled once, when it was built,
+    so a pattern reused across hosts is not compiled again; a bare graph
+    is compiled on each call.  The plan fixes only the order in which
+    nodes are tried, so the result is the same sorted list whatever it is.
+    The search recurses once per pattern node and enumerates every match;
+    to decide whether two graphs are isomorphic use :func:`are_isomorphic`.
     """
     if isinstance(pattern, LabeledGraph):
         pattern = Pattern(pattern)
-    pg = pattern.graph
-    wc = pattern.wildcard
-    k = pg.node_count
+    steps = pattern._plan
+    k = len(steps)
     if k == 0:
         return [()]
     if k > host.node_count:
         return []
 
-    order = _search_order(pg)
-    step_of = {p: t for t, p in enumerate(order)}
-    # For each step: edges back to already-assigned pattern nodes.
-    back_edges: list[list[tuple[int, str]]] = []
-    anchor: list[tuple[int, str] | None] = []
-    for t, p in enumerate(order):
-        backs = [(q, lbl) for q, lbl in pg.neighbors(p).items() if step_of[q] < t]
-        backs.sort(key=lambda e: step_of[e[0]])
-        back_edges.append(backs)
-        anchor.append(backs[0] if backs else None)
-    # Constraints become checkable at the step where their last node is mapped.
-    checks_at: list[list[MatchConstraint]] = [[] for _ in range(k)]
-    for c in pattern.constraints:
-        last = max(step_of[v] for v in constraint_nodes(c))
-        checks_at[last].append(c)
-
+    labels, nbrs = host.node_labels, host.neighbors
     image = [-1] * k
     used = [False] * host.node_count
     results: list[tuple[int, ...]] = []
 
-    def candidates(t: int) -> Iterable[int]:
-        back = anchor[t]
-        if back is None:
+    def candidates(anchor: tuple[int, str | None] | None) -> Iterable[int]:
+        if anchor is None:
             return host.nodes()
-        q, lbl = back
-        hq = image[q]
-        if wc is not None and lbl == wc:
-            return host.neighbors(hq).keys()
-        return (u for u, hl in host.neighbors(hq).items() if hl == lbl)
+        q, lbl = anchor
+        row = nbrs(image[q])
+        if lbl is None:
+            return row.keys()
+        return (u for u, hl in row.items() if hl == lbl)
 
     def extend(t: int) -> None:
         if t == k:
             results.append(tuple(image))
             return
-        p = order[t]
-        plbl = pg.label(p)
-        pdeg = pg.degree(p)
-        wild = wc is not None and plbl == wc
-        for h in sorted(candidates(t)):
+        p, plbl, pdeg, anchor, backs, checks = steps[t]
+        for h in sorted(candidates(anchor)):
             if used[h]:
                 continue
-            if not wild and host.label(h) != plbl:
+            if plbl is not None and host.label(h) != plbl:
                 continue
             if host.degree(h) < pdeg:
                 continue
             ok = True
-            for q, lbl in back_edges[t][1:] if anchor[t] is not None else []:
+            for q, lbl in backs:
                 hl = host.edge_label(image[q], h)
-                if hl is None or (hl != lbl and not (wc is not None and lbl == wc)):
+                if hl is None or (lbl is not None and hl != lbl):
                     ok = False
                     break
             if not ok:
                 continue
             image[p] = h
             used[h] = True
-            if all(satisfies(c, host, image, wc) for c in checks_at[t]):
+            if all(check(image, labels, nbrs) for check in checks):
                 extend(t + 1)
             used[h] = False
             image[p] = -1

@@ -67,6 +67,14 @@ class TestRegistry:
             parse_gml_groups(text)
         assert str(err.value) == f"{message} (line 3, column 3)"
 
+    def test_missing_key_points_at_its_own_group(self):
+        text = ('group [ groupID "A" graph [ node [ id 0 label "C" ] ] ]\n'
+                "\n\n"
+                'group [ groupID "B" proxy 0 graph [ node [ id 0 label "N" ] ] ]\n')
+        with pytest.raises(GmlError) as err:
+            parse_gml_groups(text)
+        assert str(err.value) == "group needs groupID, proxy and graph (line 1, column 1)"
+
 
 class TestSmilesPlaceholders:
     def test_placeholder_requires_registry(self):

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import pytest
 
-from grw import (Adjacency, LabeledGraph, NodeLabel, NoEdge, Pattern,
-                 are_isomorphic, disjoint_union, find_monomorphisms)
+from grw import (Adjacency, LabeledGraph, NodeDegree, NodeLabel, NoEdge, Pattern,
+                 are_isomorphic, check_constraints, disjoint_union,
+                 find_monomorphisms)
 from grw.chem import fill_hydrogens, parse_smiles
 
-from oracles import (brute_force_monomorphisms, random_constraints,
-                     random_graph)
+from oracles import (_constraint_ok, brute_force_monomorphisms,
+                     random_constraints, random_graph)
 
 
 def mol_graph(smiles: str) -> LabeledGraph:
@@ -55,6 +57,52 @@ class TestBasics:
             Pattern(g, constraints=[NodeLabel(node=3, op="=",
                                               labels=frozenset({"A"}))])
 
+    def test_pattern_is_immutable(self):
+        p = Pattern(LabeledGraph.from_parts(["A"], []),
+                    constraints=[NodeDegree(node=0, op="=", count=0)])
+        assert p.constraints == (NodeDegree(node=0, op="=", count=0),)
+        with pytest.raises(FrozenInstanceError):
+            p.constraints = ()
+
+    @pytest.mark.xfail(strict=True, raises=RecursionError,
+                       reason="the search recurses once per pattern node")
+    def test_long_chain_into_itself(self):
+        n = 1100
+        chain = LabeledGraph.from_parts(["C"] * n, [(i, i + 1, "-") for i in range(n - 1)])
+        assert find_monomorphisms(chain, chain) == [tuple(range(n)),
+                                                    tuple(reversed(range(n)))]
+
+
+# A centre "A" of degree 4: neighbours B, B, C, B over edges -, =, -, -.
+STAR = LabeledGraph.from_parts(["A", "B", "B", "C", "B"],
+                               [(0, 1, "-"), (0, 2, "="), (0, 3, "-"), (0, 4, "-")])
+ADJACENCY_FILTERS = [
+    (frozenset(), frozenset()),
+    (frozenset({"*"}), frozenset()),
+    (frozenset({"B", "*"}), frozenset({"="})),
+    (frozenset(), frozenset({"*"})),
+    (frozenset({"B", "C"}), frozenset()),
+    (frozenset(), frozenset({"-", "="})),
+    (frozenset({"B"}), frozenset({"-"})),
+    (frozenset({"C"}), frozenset({"-", "="})),
+]
+
+
+class TestAdjacencyCount:
+    """Counting stops once the result is decided; it must agree with a
+    full count at, just below and just above the node's degree."""
+
+    @pytest.mark.parametrize("node_labels, edge_labels", ADJACENCY_FILTERS)
+    @pytest.mark.parametrize("count", [3, 4, 5])
+    @pytest.mark.parametrize("op", "=!<>")
+    def test_agrees_with_oracle(self, op, count, node_labels, edge_labels):
+        c = Adjacency(node=0, op=op, count=count, node_labels=node_labels,
+                      edge_labels=edge_labels)
+        p = Pattern(LabeledGraph.from_parts(["A"], []), constraints=[c], wildcard="*")
+        want = _constraint_ok(c, STAR, (0,), "*")
+        assert check_constraints(p, STAR, (0,)) is want
+        assert find_monomorphisms(p, STAR) == ([(0,)] if want else [])
+
 
 class TestDielsAlderPattern:
     def test_four_matches_in_isoprene_propene(self, diels_alder_rule):
@@ -95,11 +143,14 @@ class TestOracleEquivalence:
             cons = random_constraints(rng, pat, node_labels,
                                       edge_labels, wildcard)
             pattern = Pattern(pat, constraints=cons, wildcard=wildcard)
-            got = find_monomorphisms(pattern, host)
-            want = brute_force_monomorphisms(pattern, host)
-            assert got == want, f"case {case}"
-            if got:
-                agreed_nonempty += 1
+            # The second host reuses the plan compiled for the first.
+            second = random_graph(rng, 8, node_labels, edge_labels, edge_p=0.5)
+            for host in (host, second):
+                got = find_monomorphisms(pattern, host)
+                want = brute_force_monomorphisms(pattern, host)
+                assert got == want, f"case {case}"
+                if got:
+                    agreed_nonempty += 1
         # The generator must actually exercise matching, not just misses.
         assert agreed_nonempty >= 20
 

@@ -158,6 +158,18 @@ class TestPerceiveAromaticity:
             fill_hydrogens(parse_molecule("O=C1C=CC=CC1")))
         assert ":" not in self.bond_set(m)
 
+    @pytest.mark.parametrize("smiles, canonical", [
+        ("c1cc[o+]cc1", "c1cc[o+]cc1"),
+        ("C1=CC=[O+]C=C1", "c1cc[o+]cc1"),
+        ("c1cc[s+]cc1", "c1cc[s+]cc1"),
+        ("c1cc[nH+]cc1", "c1cc[nH+]cc1"),
+    ])
+    def test_cationic_ring_atom_donates_one_electron(self, smiles, canonical):
+        # O+ and S+ with a double bond donate one pi electron, like N+.
+        m = prep(smiles)
+        assert self.bond_set(m).count(":") == 6
+        assert canonical_smiles(m) == canonical
+
     def test_nadh_vs_nad_plus(self):
         from test_canonical import NADH, NADP
         nadh, nadp = prep(NADH), prep(NADP)
