@@ -14,9 +14,10 @@ class with :func:`parse_atom_label`, writing renders them with
 
 Canonical output ranks the hydrogen-suppressed molecule with the search
 of :func:`grw.match.canonical_form` (neighborhood refinement, then
-individualization of tied atoms, pruned by the automorphisms found) and
-writes the smallest SMILES over its leaves, so any node ordering of the
-same molecule yields byte-identical SMILES.  The initial colours encode
+individualization of tied atoms, pruned by twins such as the methyls of
+a tert-butyl group and by the automorphisms found) and writes the
+smallest SMILES over its leaves, so any node ordering of the same
+molecule yields byte-identical SMILES.  The initial colours encode
 each atom's label and hydrogen count and the edge codes its bonds, so the
 written SMILES depends only on the ranked heavy-atom graph, as the search
 requires.  A molecule must be connected, with each hydrogen bonded to one

@@ -430,16 +430,19 @@ class _Node:
     __slots__ = ("path", "colors", "cells", "target", "next", "explored", "orbit", "used")
 
     def __init__(self, path: tuple[int, ...], colors: list[int],
-                 cells: dict[int, list[int]]):
-        self.path, self.colors, self.cells = path, colors, cells
-        self.target = min(s for s, c in cells.items() if len(c) > 1)
+                 cells: dict[int, list[int]], target: int):
+        self.path, self.colors, self.cells, self.target = path, colors, cells, target
         self.next = 0
         self.explored: list[int] = []
         self.orbit: list[int] | None = None  # union-find parents
         self.used = 0  # automorphisms merged into ``orbit``
 
-    def in_explored_orbit(self, v: int, autos: list[list[int]]) -> bool:
-        """Whether an automorphism fixing the path maps an explored member to ``v``."""
+    def in_explored_orbit(self, v: int, twin: list[int], autos: list[list[int]]) -> bool:
+        """Whether an automorphism fixing the path maps an explored member
+        to ``v``: the transposition of ``v`` and an explored twin, or one
+        generated by the automorphisms found at the leaves."""
+        if any(twin[w] == twin[v] for w in self.explored):
+            return True
         if not autos or not self.explored:
             return False
         if self.orbit is None:
@@ -454,6 +457,18 @@ class _Node:
         self.used = len(autos)
         root = _root(parent, v)
         return any(_root(parent, w) == root for w in self.explored)
+
+
+def _twins(adj: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """A twin id per vertex: the neighbour of a vertex of degree one, -1
+    for an isolated vertex and ``n + v`` for any other ``v``.
+
+    The search compares ids only within a cell of a refinement of the
+    initial partition.  Vertices of one such cell have the same initial
+    colour and degree, and two of degree one with the same neighbour are
+    joined to it by the same code, so equal ids there mean twins."""
+    n = len(adj)
+    return [a[0][0] if len(a) == 1 else n + v if a else -1 for v, a in enumerate(adj)]
 
 
 def _certificate(adj: Sequence[Sequence[tuple[int, int]]], rank: list[int],
@@ -488,12 +503,27 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
     gives an automorphism.  The search then returns to the node where the
     two leaves' paths part, and at each node skips members of the target
     cell in the orbit of a member already explored, under the
-    automorphisms found so far that fix the node's path.  Only subtrees
-    whose leaves equal explored ones are skipped, so the result
-    is the minimum over all leaves (McKay and Piperno 2014).
+    automorphisms found so far that fix the node's path.
+
+    Twins are found once, before the search: two vertices of degree at
+    most one with the same initial colour and the same ``(neighbour,
+    code)`` entry, or none, such as the hydrogens on one atom.  Swapping
+    two twins is an automorphism of the coloured graph, and it fixes
+    every path that contains neither.  So a node skips a member of its
+    target cell that is a twin of a member it already explored: the swap
+    maps one subtree onto the other, leaf for leaf, with equal
+    serializations.  And a target cell that holds one class of twins is
+    split into singletons in member order at once, without refinement or
+    a node of its own: once one twin is individualized the partition is
+    still equitable, so refinement would split nothing, and the skip
+    would leave each of those nodes with its first member only.
+
+    Only subtrees whose leaves equal explored ones are skipped, so the
+    result is the minimum over all leaves (McKay and Piperno 2014).
     """
     n = len(adj)
     nbrs, root_colors, root_cells = _refined(adj, colors)
+    twin = _twins(adj) if len(root_cells) < n else []  # read only in cells of 2+
     best = ""
     width = 0
     first: tuple[tuple[int, ...], list[int]] | None = None
@@ -502,12 +532,20 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
     stack: list[_Node] = []
 
     def visit(path: tuple[int, ...], colors: list[int], cells: dict[int, list[int]]) -> None:
-        """Push a non-leaf node, or score a leaf and return to where an
-        equivalent leaf's path parts from this one."""
+        """Split cells of twins at once, then push a non-leaf node, or
+        score a leaf and return to where an equivalent leaf's path parts
+        from this one."""
         nonlocal best, first, width
-        if len(cells) < n:
-            stack.append(_Node(path, colors, cells))
-            return
+        while len(cells) < n:
+            target = min(s for s, c in cells.items() if len(c) > 1)
+            members = cells[target]
+            if any(twin[w] != twin[members[0]] for w in members):
+                stack.append(_Node(path, colors, cells, target))
+                return
+            for rank, w in enumerate(members, target):
+                cells[rank] = [w]
+                colors[w] = rank
+            path += tuple(members)
         if first is None:
             first = (path, colors)
             best = serialize(colors)
@@ -529,7 +567,8 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
         depth = 0
         while path[depth] == prior_path[depth]:
             depth += 1
-        del stack[depth + 1:]
+        while len(stack[-1].path) > depth:
+            stack.pop()
 
     visit((), root_colors, root_cells)
     while stack:
@@ -538,7 +577,7 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
         while node.next < len(members):
             v = members[node.next]
             node.next += 1
-            if not node.in_explored_orbit(v, autos):
+            if not node.in_explored_orbit(v, twin, autos):
                 break
         else:
             stack.pop()

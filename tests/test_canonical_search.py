@@ -3,12 +3,15 @@
 ``data/canonical_strings.json`` holds strings recorded from the exhaustive
 search that visited every individualization leaf.  Pruning may only skip
 leaves equal to ones already seen, so every string must stay the same.
+``data/twin_keys.json`` (written by ``twin_corpus.py``) holds strings
+recorded before the search stopped branching on twins.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -18,6 +21,7 @@ from grw import LabeledGraph, canonical_key, disjoint_union, parse_gml_rule
 from grw.chem import canonical_smiles, fill_hydrogens, parse_smiles
 from grw.rules import explore
 
+import twin_corpus
 from conftest import asset_text, permuted, prep
 
 PINNED = json.loads((Path(__file__).parent / "data" / "canonical_strings.json").read_text())
@@ -95,6 +99,34 @@ class TestRefinementBlindPairs:
         hexane = prep("C1CCCCC1").graph
         both, _ = disjoint_union([prep("C1CC1").graph, prep("C1CC1").graph])
         assert canonical_key(hexane) != canonical_key(both)
+
+
+def test_twin_corpus_is_unchanged():
+    want = json.loads(twin_corpus.TWIN_KEYS.read_text())
+    assert twin_corpus.record() == want
+
+
+class TestTwinCliffs:
+    """400 interchangeable leaves.  A search that branches on them one by
+    one takes about 13 s for each key (CPython 3.11, one core)."""
+
+    def test_formyl_with_400_hydrogens(self):
+        g = twin_corpus.formyl(400)
+        t0 = time.perf_counter()
+        key = canonical_key(g)
+        assert time.perf_counter() - t0 < 1.0
+        edges = [f"0-{r}:-" for r in range(1, 401)] + ["0-401:="]
+        assert key == "402|" + ",".join(["C"] + ["H"] * 400 + ["O"]) + "|" + ";".join(edges)
+
+    def test_star_with_400_leaves(self):
+        g = twin_corpus.biclique(1, 400)
+        t0 = time.perf_counter()
+        key = canonical_key(g)
+        assert time.perf_counter() - t0 < 1.0
+        # A leaf's refinement signature is a prefix of the centre's, so
+        # the leaves rank first.
+        assert key == "401|" + ",".join(["*"] * 401) + "|" + ";".join(
+            f"{r}-400:*" for r in range(400))
 
 
 def _stack_depth() -> int:

@@ -5,8 +5,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -251,12 +255,41 @@ class TestBetaLactamOpening:
         assert rxn.rate == 1.0
 
 
+FORMOSE_DIGEST = "c2fcf5be9b9a743182cf3049bc99b49edc95f533d15d64d6b7f61e781d949ddd"
+
+# Formose to iteration 5 in a fresh interpreter, printing the export digest.
+FORMOSE_SCRIPT = """
+import hashlib
+from importlib import resources
+from grw import parse_gml_rule
+from grw.chem import check_chem_rule, fill_hydrogens, parse_smiles, perceive_aromaticity
+from grw.network import ExpansionConfig, expand, to_dot, to_gml
+assets = resources.files("grw") / "assets"
+rules = [check_chem_rule(parse_gml_rule((assets / name).read_text()))[1]
+         for name in ("keto_enol.gml", "keto_enol_reverse.gml", "aldol.gml", "aldol_reverse.gml")]
+seeds = [perceive_aromaticity(fill_hydrogens(parse_smiles(s)[0])) for s in ("OCC=O", "C=O")]
+net = expand(seeds, rules, ExpansionConfig(iterations=5))
+print(hashlib.sha256((to_dot(net) + to_gml(net)).encode()).hexdigest())
+"""
+
+
 class TestExports:
     def test_formose_exports_are_pinned(self, formose_net5):
         digest = hashlib.sha256(
             (to_dot(formose_net5) + to_gml(formose_net5)).encode()).hexdigest()
-        assert digest == \
-            "c2fcf5be9b9a743182cf3049bc99b49edc95f533d15d64d6b7f61e781d949ddd"
+        assert digest == FORMOSE_DIGEST
+
+    @pytest.mark.parametrize("hash_seed", ["0", "12345"])
+    def test_formose_exports_ignore_the_hash_seed(self, hash_seed):
+        """String hashing, and so the order of every set and dict keyed by
+        strings or tuples of them, changes with ``PYTHONHASHSEED``; the
+        exports must not."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", FORMOSE_SCRIPT], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == FORMOSE_DIGEST
 
     def test_empty_dot(self):
         assert to_dot(ReactionNetwork()) == "digraph RN {\n}"

@@ -39,18 +39,18 @@ def permute(g: LabeledGraph, perm: list[int]) -> LabeledGraph:
 
 
 @st.composite
-def permuted_pairs(draw) -> tuple[LabeledGraph, LabeledGraph]:
-    g = draw(graphs())
+def permuted_pairs(draw, source=graphs()) -> tuple[LabeledGraph, LabeledGraph]:
+    g = draw(source)
     return g, permute(g, draw(st.permutations(range(g.node_count))))
 
 
 @st.composite
-def related_pairs(draw) -> tuple[LabeledGraph, LabeledGraph]:
+def related_pairs(draw, source=graphs()) -> tuple[LabeledGraph, LabeledGraph]:
     """Two independent graphs, or a graph and a permuted copy with at
     most one node label changed, so equal and unequal keys both occur."""
-    g, h = draw(permuted_pairs())
+    g, h = draw(permuted_pairs(source))
     if draw(st.booleans()):
-        return g, draw(graphs())
+        return g, draw(source)
     if h.node_count and draw(st.booleans()):
         labels = list(h.node_labels)
         labels[draw(st.integers(0, h.node_count - 1))] = draw(LABELS)
@@ -75,6 +75,66 @@ COLLISIONS = [
 def test_canonical_key_ignores_node_order(pair):
     g, h = pair
     assert canonical_key(g) == canonical_key(h)
+
+
+@st.composite
+def twinned_graphs(draw) -> LabeledGraph:
+    """A random graph with planted twins.
+
+    First up to two drawn vertices each get two equal stars (a centre
+    with three leaves), so a cell can hold several classes of leaf twins
+    whose members are interleaved in node order.
+    Then up to three vertices get 1-3 copies each: same label, same
+    labelled edge to every other vertex, and either no edge among the
+    copies and the original or one drawn label on all of those edges.
+    Each copy takes its original's current edges, so copies made earlier
+    stay twins."""
+    g = draw(graphs(max_nodes=5))
+    labels = list(g.node_labels)
+    adj = [dict(g.neighbors(v)) for v in g.nodes()]
+
+    def add(label: str, joined_to: int, bond: str) -> int:
+        labels.append(label)
+        adj.append({joined_to: bond})
+        adj[joined_to][len(labels) - 1] = bond
+        return len(labels) - 1
+
+    hosts = draw(st.lists(st.integers(0, len(labels) - 1), max_size=2)) if labels else []
+    for v in hosts:
+        centre, leaf, bond = (draw(st.sampled_from("ab")) for _ in range(3))
+        for _ in range(2):
+            c = add(centre, v, bond)
+            for _ in range(3):
+                add(leaf, c, bond)
+    originals = draw(st.lists(st.integers(0, len(labels) - 1), unique=True, max_size=3)) \
+        if labels else []
+    for v in originals:
+        join = draw(st.one_of(st.none(), LABELS))
+        family = [v]
+        for _ in range(draw(st.integers(1, 3))):
+            c = len(labels)
+            labels.append(labels[v])
+            adj.append(dict(adj[v]))
+            for u, lbl in adj[v].items():
+                adj[u][c] = lbl
+            if join is not None:
+                for w in family:
+                    adj[c][w] = adj[w][c] = join
+            family.append(c)
+    return LabeledGraph.from_parts(labels, [(u, v, lbl) for u, a in enumerate(adj)
+                                            for v, lbl in a.items() if u < v])
+
+
+@given(permuted_pairs(twinned_graphs()))
+def test_twinned_key_ignores_node_order(pair):
+    g, h = pair
+    assert canonical_key(g) == canonical_key(h)
+
+
+@given(related_pairs(twinned_graphs()))
+def test_twinned_keys_equal_exactly_for_isomorphic_graphs(pair):
+    g, h = pair
+    assert (canonical_key(g) == canonical_key(h)) == isomorphic(g, h)
 
 
 @given(related_pairs())
@@ -108,10 +168,12 @@ ATOMS = ["C", "C", "N", "O", "S", "Cl", "N+", "O-", "C:1", "N+:2", "O-2", "S+2",
 
 
 @st.composite
-def molecules(draw, max_heavy: int = 7) -> Molecule:
+def molecules(draw, max_heavy: int = 7, branches: int = 0) -> Molecule:
     """A filled, connected molecule: a random tree of heavy atoms plus a
     few ring bonds, with each atom's hydrogen count left to the valence
-    rules or pinned as by a bracket atom."""
+    rules or pinned as by a bracket atom.  With ``branches``, up to that
+    many methyl and tert-butyl groups are then bonded to drawn atoms,
+    several to one atom in some draws."""
     n = draw(st.integers(1, max_heavy))
     labels = draw(st.lists(st.sampled_from(ATOMS), min_size=n, max_size=n))
     bonds = st.sampled_from("-=#")
@@ -121,19 +183,32 @@ def molecules(draw, max_heavy: int = 7) -> Molecule:
         for pair in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2)):
             edges[pair] = draw(bonds)
     pinned = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=n, max_size=n))
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=branches)):
+        root = len(labels)
+        size = draw(st.sampled_from([1, 4]))  # methyl or tert-butyl
+        labels += ["C"] * size
+        pinned += [None] * size
+        edges[(v, root)] = "-"
+        edges.update(((root, root + i), "-") for i in range(1, size))
     graph = LabeledGraph.from_parts(labels, [(u, v, b) for (u, v), b in edges.items()])
     return fill_hydrogens(Molecule(graph, {v: h for v, h in enumerate(pinned) if h is not None}))
 
 
 @st.composite
-def permuted_molecules(draw) -> tuple[Molecule, Molecule]:
-    m = draw(molecules())
+def permuted_molecules(draw, source=molecules()) -> tuple[Molecule, Molecule]:
+    m = draw(source)
     perm = draw(st.permutations(range(m.graph.node_count)))
     return m, Molecule(permute(m.graph, perm), {}, filled=True)
 
 
 @given(permuted_molecules())
 def test_canonical_smiles_ignores_node_order(pair):
+    m, p = pair
+    assert canonical_smiles(m) == canonical_smiles(p)
+
+
+@given(permuted_molecules(molecules(max_heavy=4, branches=3)))
+def test_branched_canonical_smiles_ignores_node_order(pair):
     m, p = pair
     assert canonical_smiles(m) == canonical_smiles(p)
 
