@@ -6,7 +6,8 @@ from .atoms import (AROMATIC_ELEMENTS, AtomLabel, BOND_ORDERS, BOND_SYMBOLS,
                     implicit_hydrogens, parse_atom_label)
 from .molecule import (ChemError, Molecule, Violation, fill_hydrogens,
                        molecular_formula, sanity_check)
-from .smiles import SmilesError, canonical_smiles, parse_molecule, parse_smiles
+from .smiles import (SmilesError, accept_product, canonical_smiles, parse_molecule,
+                     parse_smiles)
 from .rings import all_cycles, perceive_rings
 from .aromatic import KekulizationError, kekulize, perceive_aromaticity
 from .rulecheck import RuleViolation, check_chem_rule
@@ -20,7 +21,7 @@ __all__ = [
     "parse_atom_label",
     "ChemError", "Molecule", "Violation", "fill_hydrogens",
     "molecular_formula", "sanity_check",
-    "SmilesError", "canonical_smiles", "parse_molecule", "parse_smiles",
+    "SmilesError", "accept_product", "canonical_smiles", "parse_molecule", "parse_smiles",
     "all_cycles", "perceive_rings",
     "KekulizationError", "kekulize", "perceive_aromaticity",
     "RuleViolation", "check_chem_rule",

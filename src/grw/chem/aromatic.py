@@ -101,10 +101,12 @@ def _pi_contribution(m: Molecule, v: int) -> int | None:
     atom = parse_atom_label(g.label(v))
     if atom is None:
         return None
-    doubles_to = [g.label(u) for u in g.neighbors(v)
-                  if g.edge_label(v, u) == "="]
-    if any(g.edge_label(v, u) == "#" for u in g.neighbors(v)):
-        return None
+    doubles_to: list[AtomLabel | None] = []
+    for u, lbl in g.neighbors(v).items():
+        if lbl == "#":
+            return None
+        if lbl == "=":
+            doubles_to.append(parse_atom_label(g.label(u)))
     has_double = bool(doubles_to)
     el, q = atom.element, atom.charge
     if el == "C" and q == 0:
@@ -112,8 +114,7 @@ def _pi_contribution(m: Molecule, v: int) -> int | None:
             return None
         # A carbonyl carbon donates none; a C=[O+] bond lies in the ring,
         # where the O+ takes part itself (pyrylium).
-        if any(a is not None and a.element == "O" and a.charge == 0
-               for a in map(parse_atom_label, doubles_to)):
+        if any(a is not None and a.element == "O" and a.charge == 0 for a in doubles_to):
             return 0
         return 1
     if el in ("N", "P"):

@@ -71,9 +71,7 @@ def fill_hydrogens(m: Molecule) -> Molecule:
     labels = list(m.graph.node_labels)
     added: list[tuple[int, int, str]] = []
     for v in m.graph.nodes():
-        atom = parse_atom_label(m.graph.label(v))
-        if atom is None:
-            raise ChemError(f"node {v} label {m.graph.label(v)!r} is not an atom label")
+        atom = m.atom(v)
         current_h = sum(1 for u in m.graph.neighbors(v)
                         if m.graph.label(u) == "H")
         if v in m.explicit_h:

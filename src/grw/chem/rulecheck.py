@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from ..match import NoEdge
 from ..rules import RuleGraph
-from .atoms import BOND_SYMBOLS, allowed_valences, parse_atom_label
+from .atoms import BOND_ORDERS, BOND_SYMBOLS, allowed_valences, parse_atom_label
 
-_ORDER2 = {"-": 2, "=": 4, "#": 6, ":": 3}  # twice the bond order, exact ints
+_ORDER2 = {s: int(2 * o) for s, o in BOND_ORDERS.items()}  # twice the order, exact ints
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 from ..core import LabeledGraph
 from ..match import canonical_form
-from .atoms import (AtomLabel, ORGANIC_SUBSET, implicit_hydrogens,
+from .atoms import (AtomLabel, BOND_ORDERS, ORGANIC_SUBSET, implicit_hydrogens,
                     parse_atom_label, ELEMENTS)
-from .molecule import ChemError, Molecule
+from .aromatic import perceive_aromaticity
+from .molecule import ChemError, Molecule, sanity_check
 
 
 class SmilesError(ChemError):
@@ -248,10 +249,7 @@ def _heavy_view(m: Molecule) -> _Heavy | None:
     index = {v: i for i, v in enumerate(heavy)}
     atoms, h_count = [], []
     for v in heavy:
-        atom = parse_atom_label(g.label(v))
-        if atom is None:
-            raise ChemError(f"node {v} label {g.label(v)!r} is not an atom label")
-        atoms.append(atom)
+        atoms.append(m.atom(v))
         h_count.append(sum(1 for u in g.neighbors(v) if g.label(u) == "H"))
     if sum(h_count) != g.node_count - len(heavy):
         raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
@@ -265,7 +263,7 @@ def _heavy_view(m: Molecule) -> _Heavy | None:
 
 
 _BOND_RANK = {"-": 0, "=": 1, "#": 2, ":": 3}
-_BOND_ORDER = {"-": 1, "=": 2, "#": 3}
+_BOND_ORDER = {s: int(o) for s, o in BOND_ORDERS.items() if s != ":"}
 
 
 def _initial_colors(h: _Heavy) -> list[int]:
@@ -391,3 +389,15 @@ def canonical_smiles(m: Molecule) -> str:
             return "[H][H]"
         raise ChemError("cannot canonicalize an all-hydrogen fragment this large")
     return _canonical_string(h)
+
+
+def accept_product(m: Molecule) -> tuple[str, Molecule]:
+    """Perceive, sanity-check and canonically name one connected, filled
+    product of a rule; returns its canonical SMILES and the perceived
+    molecule.  Raises :class:`~grw.chem.KekulizationError`, or
+    :class:`ChemError` with the sanity violations joined by ``"; "``."""
+    mol = perceive_aromaticity(m)
+    issues = sanity_check(mol)
+    if issues:
+        raise ChemError("; ".join(v.message for v in issues))
+    return canonical_smiles(mol), mol

@@ -20,7 +20,7 @@ from .core import GmlError, disjoint_union, parse_gml_graph, \
 from .match import canonical_key
 from .rules import RuleGraph, apply_all, explore, parse_gml_rule
 from . import demos, network
-from .chem import (ChemError, GroupRegistry, Molecule, canonical_smiles,
+from .chem import (ChemError, GroupRegistry, Molecule, accept_product, canonical_smiles,
                    check_chem_rule, fill_hydrogens, load_energy_model,
                    parse_gml_groups, parse_smiles, perceive_aromaticity,
                    sanity_check, RateParams)
@@ -125,13 +125,8 @@ def _cmd_apply(args) -> int:
 
     for res in results:
         if args.smiles is not None and args.format != "gml":
-            canons = []
-            for comp, _ in connected_components(res.graph):
-                mol = perceive_aromaticity(Molecule(comp, {}, filled=True))
-                issues = sanity_check(mol)
-                if issues:
-                    raise DomainError("; ".join(str(v) for v in issues))
-                canons.append(canonical_smiles(mol))
+            canons = [accept_product(Molecule(comp, {}, filled=True))[0]
+                      for comp, _ in connected_components(res.graph)]
             print(".".join(sorted(canons)))
         else:
             sys.stdout.write(write_gml_graph(res.graph))

@@ -21,10 +21,8 @@ from dataclasses import dataclass, field, replace
 from .core import GraphPool, LabeledGraph, connected_components, disjoint_union
 from .match import NoEdge, Pattern, constraint_nodes, find_monomorphisms, remap_constraint
 from .rules import RuleGraph, apply as apply_rule, reverse_rule
-from .chem.energy import EnergyModel, RateParams, estimate_energy, reaction_rate
-from .chem.molecule import Molecule, sanity_check
-from .chem.aromatic import KekulizationError, perceive_aromaticity
-from .chem.smiles import canonical_smiles
+from .chem import (ChemError, EnergyModel, Molecule, RateParams, accept_product,
+                   canonical_smiles, estimate_energy, perceive_aromaticity, reaction_rate)
 
 log = logging.getLogger(__name__)
 
@@ -165,21 +163,54 @@ def _product_table(rule: RuleGraph, components: list[list[int]]):
     return tuple((tuple(comps), created) for comps, created in groups.values())
 
 
-def _over_cap(sizes: tuple[int, ...] | None, cap: int | None) -> bool:
-    """Whether products sized from the rule break the atom cap."""
-    return sizes is not None and cap is not None and max(sizes) > cap
+@dataclass(slots=True)
+class _Expansion:
+    """The state of one :func:`expand` call, shared by its iterations."""
+    cfg: ExpansionConfig
+    compiled: list[_CompiledRule]
+    net: ReactionNetwork
+    pool: GraphPool = field(default_factory=GraphPool)
+    seen: set[tuple] = field(default_factory=set)       # reaction signatures
+    energies: dict[str, float] = field(default_factory=dict)
+    match_cache: dict[tuple[int, int, str], tuple] = field(default_factory=dict)
+    iteration: int = 0
+    discovered: list[str] = field(default_factory=list)  # new this iteration
+
+    def store(self, canon: str, mol: Molecule) -> None:
+        """Keep a new molecule, its graph shared through the pool."""
+        if canon not in self.net.molecules:
+            self.net.molecules[canon] = (replace(mol, graph=self.pool.share(mol.graph)),
+                                         self.iteration)
+            self.discovered.append(canon)
+
+    def matches_in(self, rule_idx: int, comp_idx: int, canon: str) -> tuple:
+        """Matches of one left component of a rule in one known molecule."""
+        key = (rule_idx, comp_idx, canon)
+        found = self.match_cache.get(key)
+        if found is None:
+            comp = self.compiled[rule_idx].components[comp_idx]
+            host = self.net.molecules[canon][0].graph
+            found = self.match_cache[key] = tuple(find_monomorphisms(comp, host))
+        return found
+
+    def energy_of(self, canon: str) -> float:
+        if canon not in self.energies:
+            self.energies[canon] = estimate_energy(self.net.molecules[canon][0],
+                                                   self.cfg.energy_model)
+        return self.energies[canon]
 
 
 def expand(inputs: list[Molecule], rules: list[RuleGraph],
            cfg: ExpansionConfig) -> ReactionNetwork:
     """Expand the network for ``cfg.iterations`` rounds.
 
-    Products failing sanity checks (or kekulization) are reported through
-    the module logger and their reaction is discarded; expansion never
-    aborts on them.  Every molecule the network stores (seeds and new
-    products) goes through one :class:`~grw.core.GraphPool` per call, so
-    stored graphs share equal rows and tuples; discarded and duplicate
-    products never reach it.
+    One ``_Expansion`` holds the state of the call.  Each product is
+    accepted by :func:`~grw.chem.accept_product`; one it rejects is
+    reported through the module logger and its reaction is discarded;
+    expansion never aborts on them.  Every molecule the network stores
+    (seeds and new products) goes through the state's one
+    :class:`~grw.core.GraphPool`, so stored graphs share equal rows and
+    tuples; discarded and duplicate products never reach it.
 
     Under ``cfg.max_atoms``, a reaction with a product over the cap is
     discarded.  For a rule that deletes no node, keeps the endpoints of
@@ -193,41 +224,20 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
     A dropped reaction therefore logs no kekulization or sanity warning
     for its other products.
     """
-    net = ReactionNetwork(iterations=cfg.iterations)
-    pool = GraphPool()
+    x = _Expansion(cfg, [_compile_rule(r) for r in rules],
+                   ReactionNetwork(iterations=cfg.iterations))
     for m in inputs:
         mol = perceive_aromaticity(m)
-        canon = canonical_smiles(mol)
-        if canon not in net.molecules:
-            net.molecules[canon] = (replace(mol, graph=pool.share(mol.graph)), 0)
+        x.store(canonical_smiles(mol), mol)
 
-    compiled = [_compile_rule(r) for r in rules]
-    seen_reactions: set[tuple] = set()
-    energies: dict[str, float] = {}
-    match_cache: dict[tuple[int, int, str], tuple] = {}
-
-    def energy_of(canon: str) -> float:
-        if canon not in energies:
-            energies[canon] = estimate_energy(net.molecules[canon][0],
-                                              cfg.energy_model)
-        return energies[canon]
-
-    def matches_in(rule_idx: int, comp_idx: int, canon: str) -> tuple:
-        key = (rule_idx, comp_idx, canon)
-        if key not in match_cache:
-            comp = compiled[rule_idx].components[comp_idx]
-            host = net.molecules[canon][0].graph
-            match_cache[key] = tuple(find_monomorphisms(comp, host))
-        return match_cache[key]
-
-    new_canons = sorted(net.molecules)
+    molecules, cap, matches_in = x.net.molecules, cfg.max_atoms, x.matches_in
     for i in range(1, cfg.iterations + 1):
         t0 = time.monotonic()
-        known = sorted(net.molecules)
-        new_set = set(new_canons)
-        discovered: list[str] = []
+        known = sorted(molecules)
+        new_set = set(x.discovered)
+        x.iteration, x.discovered = i, []
 
-        for rule_idx, cr in enumerate(compiled):
+        for rule_idx, cr in enumerate(x.compiled):
             k = len(cr.components)
             for combo in itertools.product(known, repeat=k):
                 if not any(c in new_set for c in combo):
@@ -235,10 +245,11 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
                 per_comp = [matches_in(rule_idx, j, combo[j]) for j in range(k)]
                 if not all(per_comp):
                     continue
-                graphs = [net.molecules[c][0].graph for c in combo]
+                graphs = [molecules[c][0].graph for c in combo]
                 counts = [g.node_count for g in graphs]
                 sizes = cr.product_sizes(counts)
-                union = None if _over_cap(sizes, cfg.max_atoms) \
+                # A product sized over the cap: every match is dropped unbuilt.
+                union = None if sizes is not None and cap is not None and max(sizes) > cap \
                     else disjoint_union(graphs)[0]
                 offsets = list(itertools.accumulate(counts[:-1], initial=0))
                 for picks in itertools.product(*per_comp):
@@ -246,70 +257,53 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
                     for j in range(k):
                         for local_idx, pat_node in enumerate(cr.members[j]):
                             match[pat_node] = picks[j][local_idx] + offsets[j]
-                    _process_match(cr, union, tuple(match), combo, sizes, i, cfg,
-                                   net, seen_reactions, energy_of, discovered, pool)
+                    _process_match(x, cr, union, tuple(match), combo)
 
-        new_canons = sorted(set(discovered))
         elapsed = time.monotonic() - t0
-        net.elapsed[i] = elapsed
+        x.net.elapsed[i] = elapsed
         log.info("iter %d: molecules=%d reactions=%d elapsed=%.3f",
-                 i, net.molecule_count, net.reaction_count, elapsed)
+                 i, x.net.molecule_count, x.net.reaction_count, elapsed)
 
-    return net
+    return x.net
 
 
-def _process_match(cr: _CompiledRule, union: LabeledGraph | None, match: tuple,
-                   combo: tuple[str, ...], sizes: tuple[int, ...] | None,
-                   iteration: int, cfg: ExpansionConfig, net: ReactionNetwork,
-                   seen: set, energy_of, discovered: list[str],
-                   pool: GraphPool) -> None:
+def _process_match(x: _Expansion, cr: _CompiledRule, union: LabeledGraph | None,
+                   match: tuple, combo: tuple[str, ...]) -> None:
     """Apply one match and record its reaction, or discard it.
 
-    ``sizes`` are the product sizes predicted by the rule's product table
-    (None without one); over the cap, the match is dropped before anything
-    is built, and ``union`` is None.
+    ``union`` is None when the rule's product table puts a product over
+    the atom cap; the match is then dropped before anything is built.
     """
-    if _over_cap(sizes, cfg.max_atoms):
+    if union is None:
         return
-    result = apply_rule(cr.rule, union, match)
+    cap = x.cfg.max_atoms
     product_mols: list[tuple[str, Molecule]] = []
-    for comp, _ in connected_components(result.graph):
-        mol = Molecule(comp, {}, filled=True)
-        if cfg.max_atoms is not None and mol.atom_count > cfg.max_atoms:
+    for comp, _ in connected_components(apply_rule(cr.rule, union, match).graph):
+        if cap is not None and comp.node_count > cap:
             return
         try:
-            mol = perceive_aromaticity(mol)
-        except KekulizationError as exc:
+            product_mols.append(accept_product(Molecule(comp, {}, filled=True)))
+        except ChemError as exc:
             log.warning("rule %s: discarding product (%s)", cr.rule.rule_id, exc)
             return
-        issues = sanity_check(mol)
-        if issues:
-            log.warning("rule %s: discarding product (%s)",
-                        cr.rule.rule_id, "; ".join(v.message for v in issues))
-            return
-        product_mols.append((canonical_smiles(mol), mol))
 
     reactants = tuple(sorted(combo))
     products = tuple(sorted(c for c, _ in product_mols))
     signature = (cr.rule.rule_id, reactants, products)
-    if signature in seen:
+    if signature in x.seen:
         return
-    seen.add(signature)
+    x.seen.add(signature)
 
     for canon, mol in product_mols:
-        if canon not in net.molecules:
-            net.molecules[canon] = (replace(mol, graph=pool.share(mol.graph)),
-                                    iteration)
-            discovered.append(canon)
+        x.store(canon, mol)
 
-    if cfg.energy_model is not None:
-        delta_e = sum(energy_of(c) for c in products) \
-            - sum(energy_of(c) for c in reactants)
-        rate = reaction_rate(delta_e, cfg.rate_params)
+    if x.cfg.energy_model is not None:
+        delta_e = sum(map(x.energy_of, products)) - sum(map(x.energy_of, reactants))
+        rate = reaction_rate(delta_e, x.cfg.rate_params)
     else:
         delta_e, rate = 0.0, 1.0
-    net.reactions.append(Reaction(cr.rule.rule_id, reactants, products,
-                                  rate, delta_e, iteration))
+    x.net.reactions.append(Reaction(cr.rule.rule_id, reactants, products,
+                                    rate, delta_e, x.iteration))
 
 
 def _dot_quote(s: str) -> str:

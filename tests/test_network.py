@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from grw import (NoEdge, RuleEdge, RuleGraph, RuleNode, apply, canonical_key,
-                 connected_components, disjoint_union, find_monomorphisms)
+                 connected_components, disjoint_union, find_monomorphisms, network)
 from grw.chem import (Molecule, canonical_smiles, fill_hydrogens,
                       load_energy_model, molecular_formula, perceive_aromaticity,
                       sanity_check)
@@ -150,6 +150,80 @@ class TestSharedStorage:
                     for comp, _ in connected_components(apply(rule, host, match).graph):
                         sanity_check(Molecule(comp, {}, filled=True))
         assert snapshot() == before
+
+
+# Two unsound rules, built without check_chem_rule: one gives a carbonyl
+# oxygen a third bond, one cuts an aromatic n:c bond out of its ring.
+PROTONATE = RuleGraph("protonate carbonyl",
+                      [RuleNode(1, "O", "O"), RuleNode(2, "C", "C"), RuleNode(3, None, "H")],
+                      [RuleEdge(1, 2, "=", "="), RuleEdge(1, 3, None, "-")])
+RING_CUT = RuleGraph("ring cut", [RuleNode(1, "n", "n"), RuleNode(2, "c", "c")],
+                     [RuleEdge(1, 2, ":", None)])
+
+
+class TestProductDiscards:
+    """A product that fails perception or the sanity check is logged and
+    its reaction dropped; the expansion goes on."""
+
+    def expand_logged(self, caplog, cap):
+        seeds = [prep("OCC=O"), prep("C=O"), prep("c1ccncc1")]
+        rules = [load_rule("keto_enol.gml"), PROTONATE, RING_CUT]
+        with caplog.at_level("WARNING", logger="grw.network"):
+            net = expand(seeds, rules, ExpansionConfig(iterations=1, max_atoms=cap))
+        assert {rec.name for rec in caplog.records} <= {"grw.network"}
+        return net, [rec.getMessage() for rec in caplog.records]
+
+    def test_sanity_and_kekulization_discards(self, caplog):
+        net, lines = self.expand_logged(caplog, None)
+        assert lines == [
+            "rule protonate carbonyl: discarding product "
+            "(atom 3 (O) has bond-order sum 3, allowed valences (2,))",
+            "rule protonate carbonyl: discarding product "
+            "(atom 1 (O) has bond-order sum 3, allowed valences (2,))",
+            "rule ring cut: discarding product (node 2 (c) needs 2 extra bonds; cannot kekulize)",
+            "rule ring cut: discarding product (node 3 (n) needs 2 extra bonds; cannot kekulize)",
+        ]
+        assert net.stats() == [(0, 3, 0), (1, 4, 1)]
+        assert [r.signature for r in net.reactions] == [
+            ("Keto-Enol Isomerization", ("C(CO)=O",), ("C(=CO)O",))]
+        assert {c: it for c, (_, it) in net.molecules.items()} == {
+            "C(CO)=O": 0, "C=O": 0, "c1ccncc1": 0, "C(=CO)O": 1}
+
+    def test_atom_cap_comes_before_perception(self, caplog):
+        # Only the protonated formaldehyde (5 atoms) fits under the cap; the
+        # cut pyridine is built, found too large and dropped unperceived.
+        net, lines = self.expand_logged(caplog, 5)
+        assert lines == ["rule protonate carbonyl: discarding product "
+                         "(atom 1 (O) has bond-order sum 3, allowed valences (2,))"]
+        assert net.stats() == [(0, 3, 0), (1, 3, 0)]
+
+
+class TestProcessMatchBoundary:
+    """The benchmark's formose items are calls of ``network._process_match``:
+    it swaps the module attribute for a wrapper that forwards positional
+    arguments only.  ``expand`` must keep calling it that way, once per
+    match, over-cap matches included."""
+
+    @pytest.mark.parametrize("iterations, cap, calls, applied", [
+        (5, None, 418, 418), (5, 32, 340, 160), (8, 32, 8922, 538)])
+    def test_calls_per_match(self, monkeypatch, formose_rules, formose_inputs,
+                             iterations, cap, calls, applied):
+        counts = Counter()
+        inner, inner_apply = network._process_match, network.apply_rule
+
+        def item(*args):
+            counts["calls"] += 1
+            return inner(*args)
+
+        def counted_apply(*args):
+            counts["applied"] += 1
+            return inner_apply(*args)
+
+        monkeypatch.setattr(network, "_process_match", item)
+        monkeypatch.setattr(network, "apply_rule", counted_apply)
+        expand(formose_inputs, formose_rules,
+               ExpansionConfig(iterations=iterations, max_atoms=cap))
+        assert counts == {"calls": calls, "applied": applied}
 
 
 class TestConfig:
