@@ -196,6 +196,14 @@ class GraphPool:
                             tuples.setdefault(g._ext_ids, g._ext_ids))
 
 
+def _fingerprint(g: LabeledGraph) -> tuple:
+    """A hashable value that two graphs share exactly when their labels,
+    ``ext_ids`` and ordered adjacency rows are equal, rows keyed as in
+    :class:`GraphPool`.  Such graphs are identical, so any function of a
+    graph gives them the same value."""
+    return g._labels, g._ext_ids, tuple([tuple(row.items()) for row in g._adj])
+
+
 def _edited(host: LabeledGraph, labels: Sequence[str], keep: Sequence[int],
             drop: Sequence[tuple[int, int]],
             put: Sequence[tuple[int, int, str]]) -> LabeledGraph:
@@ -422,12 +430,26 @@ def parse_gml_graph(text: str) -> LabeledGraph:
     return _graph_from_declarations(nodes, edges)
 
 
+def _gml_string(label: str, owner: str) -> str:
+    """``label`` if a GML string can hold it, else :class:`ValueError`."""
+    if '"' in label or "\n" in label:
+        raise ValueError(f"{owner} has a label {label!r}, and a GML string "
+                         "cannot hold a '\"' or a newline")
+    return label
+
+
 def write_gml_graph(g: LabeledGraph) -> str:
-    """Serialize a graph to GML using its external ids, ascending."""
+    """Serialize a graph to GML using its external ids, ascending.
+
+    A GML string has no escape, so a label holding ``"`` or a newline
+    raises :class:`ValueError` naming the node's external id or the
+    edge's external endpoints.
+    """
     order = sorted(g.nodes(), key=lambda v: g.ext_ids[v])
     lines = ["graph ["]
     for v in order:
-        lines.append(f'  node [ id {g.ext_ids[v]} label "{g.label(v)}" ]')
+        lbl = _gml_string(g.label(v), f"node {g.ext_ids[v]}")
+        lines.append(f'  node [ id {g.ext_ids[v]} label "{lbl}" ]')
     ext_edges = []
     for u, v, lbl in g.edges():
         a, b = g.ext_ids[u], g.ext_ids[v]
@@ -435,6 +457,7 @@ def write_gml_graph(g: LabeledGraph) -> str:
             a, b = b, a
         ext_edges.append((a, b, lbl))
     for a, b, lbl in sorted(ext_edges):
+        lbl = _gml_string(lbl, f"edge ({a}, {b})")
         lines.append(f'  edge [ source {a} target {b} label "{lbl}" ]')
     lines.append("]")
     return "\n".join(lines) + "\n"

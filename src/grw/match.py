@@ -646,8 +646,11 @@ def canonical_key(g: LabeledGraph) -> str:
 
 
 def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Whether two labeled graphs are isomorphic: graphs of equal node
-    and edge counts compared by :func:`canonical_key`."""
+    """Whether two labeled graphs are isomorphic: equal graphs (labels and
+    edges) are, and other graphs of equal node and edge counts are
+    compared by :func:`canonical_key`."""
+    if g1 == g2:
+        return True
     if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
         return False
     return canonical_key(g1) == canonical_key(g2)

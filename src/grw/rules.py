@@ -15,8 +15,8 @@ from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .core import (GmlError, LabeledGraph, TokenStream, _edited, _normalize,
-                   _parse_element)
+from .core import (GmlError, LabeledGraph, TokenStream, _edited, _fingerprint,
+                   _normalize, _parse_element)
 from .match import (Adjacency, MatchConstraint, NodeLabel, NoEdge, Pattern,
                     canonical_key, constraint_nodes, find_monomorphisms,
                     is_monomorphism, remap_constraint)
@@ -394,13 +394,17 @@ def apply_all(rule: RuleGraph, host: LabeledGraph, reporter: Reporter | None = N
 
     With ``dedup``, a result whose graph has the :func:`canonical_key` of
     an earlier result's graph, i.e. is isomorphic to it, is dropped (first
-    occurrence kept).  A reporter receives each surviving result;
+    occurrence kept).  A result whose graph is identical to an earlier
+    result's (equal labels, ``ext_ids`` and adjacency, as symmetric matches
+    often give) is dropped before it is keyed, so the key is computed
+    once per distinct graph.  A reporter receives each surviving result;
     returning ``False`` stops the enumeration early.
     Matches whose application fails (an edge collision) are skipped with
     a logged diagnostic rather than aborting the enumeration.
     """
     pattern, _ = rule.left_pattern()
     results: list[RewriteResult] = []
+    fingerprints: set[tuple] = set()
     seen: set[str] = set()
     for match in find_monomorphisms(pattern, host):
         try:
@@ -410,6 +414,10 @@ def apply_all(rule: RuleGraph, host: LabeledGraph, reporter: Reporter | None = N
                         rule.rule_id, match, exc)
             continue
         if dedup:
+            fingerprint = _fingerprint(res.graph)
+            if fingerprint in fingerprints:
+                continue
+            fingerprints.add(fingerprint)
             key = canonical_key(res.graph)
             if key in seen:
                 continue
@@ -435,7 +443,11 @@ def explore(starts: Sequence[LabeledGraph], rules: Sequence[RuleGraph],
     """Walk the space of graphs induced by a rule set.
 
     ``key`` maps each graph to the string under which it is remembered;
-    graphs whose key was already seen are not expanded again.  ``depth``
+    graphs whose key was already seen are not expanded again.  Of the
+    results of one rule on one graph, one identical to an earlier one
+    (equal labels, ``ext_ids`` and adjacency) is skipped before it is
+    keyed: it would get the same key.  So ``key`` is called once per
+    start and once per distinct successor of each rule.  ``depth``
     bounds the number of rewrite steps from a start graph.  With a goal
     predicate the search stops at the first satisfying graph and reports
     the path of graphs leading to it (DFS follows rule/match order, BFS
@@ -465,7 +477,13 @@ def explore(starts: Sequence[LabeledGraph], rules: Sequence[RuleGraph],
         return goal is not None and goal(g)
 
     def successors(g: LabeledGraph) -> Iterator[LabeledGraph]:
-        return (res.graph for rule in rules for res in apply_all(rule, g))
+        for rule in rules:
+            fingerprints: set[tuple] = set()
+            for res in apply_all(rule, g):
+                fingerprint = _fingerprint(res.graph)
+                if fingerprint not in fingerprints:
+                    fingerprints.add(fingerprint)
+                    yield res.graph
 
     if strategy == "bfs":
         frontier: deque[tuple[str, int]] = deque()

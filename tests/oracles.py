@@ -12,7 +12,7 @@ import itertools
 from random import Random
 
 from grw import (Adjacency, EdgeLabel, LabeledGraph, NodeDegree, NodeLabel,
-                 NoEdge, Pattern, RuleGraph, apply, connected_components,
+                 NoEdge, Pattern, RuleGraph, apply, apply_all, connected_components,
                  disjoint_union, find_monomorphisms)
 from grw.chem import (KekulizationError, Molecule, canonical_smiles,
                       perceive_aromaticity, sanity_check)
@@ -281,6 +281,66 @@ def naive_expand(seeds, rules, iterations: int, max_atoms: int | None = None):
                                 known[canon] = it
                                 graphs[canon] = g
     return known, reactions
+
+
+def naive_explore(starts, rules, strategy: str, depth: int, key, goal=None):
+    """Reference graph-space walk that keys every successor.
+
+    A graph's successors are the graphs of ``apply_all(rule, g)`` for each
+    rule in order, one per applicable match, duplicates included; each is
+    keyed and skipped when its key is known.  ``"bfs"`` walks a queue of
+    (graph, path) entries, ``"dfs"`` recurses and expands each new graph
+    before the next successor, and both stop ``depth`` steps from a start.
+    Returns ``(visited, path)``: ``visited`` maps each key to the graph
+    first reached under it, in that order, and ``path`` runs from a start
+    to the first graph ``goal`` accepts, or is ``None``.
+    """
+    visited: dict[str, LabeledGraph] = {}
+
+    def successors(g):
+        return [res.graph for rule in rules for res in apply_all(rule, g)]
+
+    def new(g, path):
+        """Record ``g`` if its key is new; the path to it if it is a goal."""
+        k = key(g)
+        if k in visited:
+            return False, None
+        visited[k] = g
+        return True, path + [g] if goal is not None and goal(g) else None
+
+    if strategy == "bfs":
+        queue = []
+        for g in starts:
+            fresh, found = new(g, [])
+            if found:
+                return visited, found
+            if fresh:
+                queue.append((g, [g]))
+        for g, path in queue:  # the list grows while it is walked
+            if len(path) > depth:
+                continue
+            for h in successors(g):
+                fresh, found = new(h, path)
+                if found:
+                    return visited, found
+                if fresh:
+                    queue.append((h, path + [h]))
+        return visited, None
+
+    def dfs(g, path):
+        if len(path) > depth:
+            return None
+        for h in successors(g):
+            fresh, found = new(h, path)
+            if found or (fresh and (found := dfs(h, path + [h]))):
+                return found
+        return None
+
+    for g in starts:
+        fresh, found = new(g, [])
+        if found or (fresh and (found := dfs(g, [g]))):
+            return visited, found
+    return visited, None
 
 
 # ---------------------------------------------------------------------------

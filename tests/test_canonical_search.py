@@ -62,6 +62,25 @@ class TestPinnedStrings:
         assert sorted(visited) == want["explored"]
 
 
+# Key calls of a depth-2 breadth-first Y-Δ exploration.  Symmetric matches
+# give identical results (the six leaf orders of a claw, for one), and
+# each is keyed once: keying every result took 433 calls on these seven
+# graphs (K3,3 79, K4 37, Petersen 103, W5 49, W6 61, cube 79, prism 25).
+YDELTA_KEY_CALLS = {"K3,3": 10, "K4": 6, "Petersen": 18, "W5": 9, "W6": 11,
+                    "cube": 14, "prism": 5}
+
+
+def test_ydelta_exploration_keys_each_distinct_result_once():
+    rules = [parse_gml_rule(asset_text(n)) for n in ("wye_to_delta.gml", "delta_to_wye.gml")]
+    calls = {}
+    for name, want in PINNED["ydelta"].items():
+        def counting_key(g, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return canonical_key(g)
+        explore([unlabeled(want["nodes"], want["edges"])], rules, "bfs", 2, key=counting_key)
+    assert calls == YDELTA_KEY_CALLS
+
+
 class TestSymmetricMolecules:
     @pytest.mark.parametrize("name", sorted(CLIFFS))
     def test_cliff_molecule_invariant_under_permutation(self, name):

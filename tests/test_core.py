@@ -177,6 +177,16 @@ class TestGml:
                        for i in range(g.node_count))
             assert back.ext_ids == g.ext_ids
 
+    def test_label_with_a_quote_is_refused_not_written(self):
+        g = LabeledGraph.from_parts(['a"b', "B"], [(0, 1, "-")], ext_ids=[5, 9])
+        with pytest.raises(ValueError, match=r"^node 5 has a label 'a\"b'"):
+            write_gml_graph(g)
+
+    def test_edge_label_with_a_newline_is_refused_not_written(self):
+        g = LabeledGraph.from_parts(["A", "B"], [(0, 1, "-\n=")], ext_ids=[9, 5])
+        with pytest.raises(ValueError, match=r"^edge \(5, 9\) has a label '-\\n='"):
+            write_gml_graph(g)
+
 
 class TestDisjointUnion:
     def test_empty_union(self):

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+import grw.match
 from grw import (Adjacency, LabeledGraph, NodeDegree, NodeLabel, NoEdge, Pattern,
                  are_isomorphic, check_constraints, disjoint_union,
                  find_monomorphisms)
@@ -181,3 +182,13 @@ class TestIsomorphism:
     def test_long_chain_with_itself(self):
         chain = LabeledGraph.from_parts(["C"] * 1200, [(i, i + 1, "-") for i in range(1199)])
         assert are_isomorphic(chain, chain)
+
+    def test_equal_graphs_need_no_key(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("equal graphs were keyed")
+        monkeypatch.setattr(grw.match, "canonical_key", refuse)
+        g = mol_graph("OCC=O")
+        assert are_isomorphic(g, LabeledGraph.from_parts(g.node_labels, g.edges(),
+                                                         ext_ids=[7] * g.node_count))
+        with pytest.raises(AssertionError, match="keyed"):
+            are_isomorphic(g, g.with_labels({0: "S"}))

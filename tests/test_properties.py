@@ -1,5 +1,6 @@
 """Property tests: canonical keys and dedup against the backtracking oracle,
-and canonical SMILES on generated molecules.
+exploration against a walk that keys every successor, the GML graph
+round trip, and canonical SMILES on generated molecules.
 
 Labels draw from plain letters and from short strings over an alphabet
 holding the key's separators, so a key that fails to escape them would
@@ -10,12 +11,16 @@ so their canonical SMILES hold bracket atoms.
 
 from __future__ import annotations
 
-from hypothesis import example, given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from grw import LabeledGraph, NoEdge, RuleEdge, RuleGraph, RuleNode, apply_all, canonical_key
+from grw import (LabeledGraph, NoEdge, RuleEdge, RuleGraph, RuleNode, apply_all,
+                 canonical_key, explore, parse_gml_graph, parse_gml_rule,
+                 write_gml_graph)
 from grw.chem import Molecule, canonical_smiles, fill_hydrogens, parse_smiles
 
-from oracles import isomorphic
+from conftest import asset_text
+from oracles import isomorphic, naive_explore
 
 LABELS = st.one_of(st.sampled_from(["a", "b"]),
                    st.text(alphabet="ab,|;\\-:", min_size=1, max_size=3))
@@ -162,6 +167,102 @@ def test_dedup_keeps_what_a_pairwise_scan_keeps(rule, host):
             kept.append(res)
     distinct = apply_all(rule, host, dedup=True)
     assert [r.match for r in distinct] == [r.match for r in kept]
+
+
+YDELTA = [parse_gml_rule(asset_text(name)) for name in ("wye_to_delta.gml", "delta_to_wye.gml")]
+
+
+@st.composite
+def star_graphs(draw, max_nodes: int = 6) -> LabeledGraph:
+    """A graph with ``*`` on every node and edge, as the Y-Δ rules take."""
+    n = draw(st.integers(0, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return LabeledGraph.from_parts(["*"] * n, [(u, v, "*") for u, v in chosen])
+
+
+def _labels_key(g: LabeledGraph) -> str:
+    """Labels and edges as they stand: tells isomorphic graphs apart."""
+    return repr((g.node_labels, g.edges()))
+
+
+def _weight(g: LabeledGraph) -> int:
+    """Moved by one by every rule step, so that goals are reached at
+    various depths."""
+    return g.node_count + g.edge_count + g.node_labels.count("b,a")
+
+
+@st.composite
+def walks(draw):
+    """Starts, rules, strategy, depth, key and goal for one exploration."""
+    rules, source = draw(st.sampled_from([(RULES, graphs(max_nodes=5)),
+                                          (YDELTA, star_graphs())]))
+    starts = draw(st.lists(source, min_size=1, max_size=2))
+    target = draw(st.one_of(st.none(), st.integers(-1, 3)))
+    goal = None if target is None else \
+        (lambda h, want=_weight(starts[0]) + target: _weight(h) == want)
+    return (starts, rules, draw(st.sampled_from(["bfs", "dfs"])), draw(st.integers(0, 3)),
+            draw(st.sampled_from([canonical_key, _labels_key])), goal)
+
+
+def _plain(g: LabeledGraph) -> tuple:
+    return g.node_labels, g.edges(), g.ext_ids
+
+
+@settings(max_examples=100)
+@given(walks())
+def test_explore_agrees_with_a_walk_that_keys_every_successor(walk):
+    starts, rules, strategy, depth, key, goal = walk
+    out = explore(starts, rules, strategy, depth, key=key, goal=goal)
+    visited, path = naive_explore(starts, rules, strategy, depth, key, goal)
+    assert [(k, _plain(g)) for k, g in out.visited.items()] == \
+        [(k, _plain(g)) for k, g in visited.items()]
+    assert (out.path is None) == (path is None)
+    if path is not None:
+        assert [_plain(g) for g in out.path] == [_plain(g) for g in path]
+
+
+# Characters GML strings can hold, token characters among them.  A label
+# drawn from a character list builds no Unicode tables, so it is fast.
+GML_LABELS = st.text(alphabet="aZ0 \t\r#[]=<>!-*'\\é", min_size=1, max_size=4)
+
+
+@st.composite
+def gml_graphs(draw) -> LabeledGraph:
+    """Random labels, distinct external ids in any order, random edges;
+    in some graphs one label holds a ``"`` or a newline, which GML
+    cannot write."""
+    n = draw(st.integers(0, 6))
+    labels = draw(st.lists(GML_LABELS, min_size=n, max_size=n))
+    ext_ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [[u, v, draw(GML_LABELS)] for u, v in chosen]
+    spoiler = draw(st.sampled_from([None, '"', "\n"]))
+    if spoiler is not None and n:
+        i = draw(st.integers(0, n + len(edges) - 1))
+        where, at = (labels, i) if i < n else (edges[i - n], 2)
+        cut = draw(st.integers(0, len(where[at])))
+        where[at] = where[at][:cut] + spoiler + where[at][cut:]
+    return LabeledGraph.from_parts(labels, edges, ext_ids)
+
+
+@given(gml_graphs())
+def test_gml_write_then_parse_gives_the_graph_back(g):
+    labels = [*g.node_labels, *(lbl for _, _, lbl in g.edges())]
+    if any('"' in lbl or "\n" in lbl for lbl in labels):
+        with pytest.raises(ValueError):
+            write_gml_graph(g)
+        return
+    back = parse_gml_graph(write_gml_graph(g))
+    assert back.ext_ids == tuple(sorted(g.ext_ids))
+
+    def by_ext(h):
+        ext = h.ext_ids
+        return ({ext[v]: h.label(v) for v in h.nodes()},
+                {(*sorted((ext[u], ext[v])), lbl) for u, v, lbl in h.edges()})
+
+    assert by_ext(back) == by_ext(g)
 
 
 ATOMS = ["C", "C", "N", "O", "S", "Cl", "N+", "O-", "C:1", "N+:2", "O-2", "S+2", "Fe+3", "P-:12"]

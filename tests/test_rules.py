@@ -9,10 +9,11 @@ from random import Random
 
 import pytest
 
+import grw.rules
 from grw import (ApplicationError, GmlError, LabeledGraph, NoEdge, RuleEdge,
                  RuleError, RuleGraph, RuleNode, apply, apply_all, are_isomorphic,
-                 disjoint_union, explore, find_monomorphisms, parse_gml_rule,
-                 reverse_rule)
+                 canonical_key, disjoint_union, explore, find_monomorphisms,
+                 parse_gml_rule, reverse_rule)
 from grw.chem import fill_hydrogens, parse_smiles
 from grw.rules import _CONSTRAINT_KINDS
 
@@ -282,6 +283,23 @@ class TestApply:
         distinct = apply_all(diels_alder_rule, host, dedup=True)
         assert [r.match for r in distinct] == [r.match for r in kept]
         assert [r.graph for r in distinct] == [r.graph for r in kept]
+
+    def test_dedup_keys_each_distinct_graph_once(self, diels_alder_rule, monkeypatch):
+        # A decapentaene, propene and ethylene: each diene/dienophile pair
+        # matches in two orientations with the same result graph.
+        host, _ = disjoint_union([mol_graph("C=CC=CC=CC=CC=C"), mol_graph("C=CC"),
+                                  mol_graph("C=C")])
+        every = apply_all(diels_alder_rule, host)
+        keyed = []
+
+        def counting_key(g):
+            keyed.append(g)
+            return canonical_key(g)
+        monkeypatch.setattr(grw.rules, "canonical_key", counting_key)
+        distinct = apply_all(diels_alder_rule, host, dedup=True)
+        # Keying every result took 56 calls.
+        assert (len(every), len(keyed), len(distinct)) == (56, 28, 12)
+        assert len({(g.node_labels, tuple(g.edges())) for g in keyed}) == 28
 
     def test_reporter_can_stop(self, diels_alder_rule):
         host, _ = disjoint_union([mol_graph("C=CC(C)=C"), mol_graph("C=CC")])
