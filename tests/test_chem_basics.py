@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from grw.chem import (AROMATIC_ELEMENTS, ORGANIC_SUBSET, ChemError, Molecule,
@@ -9,7 +11,10 @@ from grw.chem import (AROMATIC_ELEMENTS, ORGANIC_SUBSET, ChemError, Molecule,
                       implicit_hydrogens, molecular_formula, parse_atom_label,
                       parse_molecule, parse_smiles, sanity_check)
 
+import chem_corpus
 from conftest import prep
+
+CHEM_CORPUS = json.loads(chem_corpus.CORPUS.read_text())["entries"]
 
 
 class TestAtomLabels:
@@ -249,3 +254,20 @@ class TestFormula:
     def test_charges_do_not_change_elements(self):
         m = fill_hydrogens(parse_molecule("[NH4+]"))
         assert molecular_formula(m) == {"H": 4, "N": 1}
+
+
+class TestChemCorpus:
+    """Fill, sanity, perception and canonical SMILES of seeded single
+    mutations keep the outcomes recorded in ``data/chem_corpus.json``."""
+
+    def test_corpus_covers_every_group(self):
+        assert {e["group"] for e in CHEM_CORPUS} == {"formose", "aromatic", "fixed"}
+        assert all(e["cases"][0][0] is None for e in CHEM_CORPUS)
+
+    @pytest.mark.parametrize("group", ["formose", "aromatic", "fixed"])
+    def test_mutations_keep_their_recorded_outcome(self, group):
+        for entry in (e for e in CHEM_CORPUS if e["group"] == group):
+            g = chem_corpus.base_graph(entry["base"])
+            for edit, want in entry["cases"]:
+                got = chem_corpus.outcome(chem_corpus.apply_edit(g, edit))
+                assert got == want, (entry["base"], edit)
