@@ -10,9 +10,11 @@ exactly the "de-aromatize" behavior needed after a rewrite breaks a ring.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..core import _edited
 from .atoms import AtomLabel, parse_atom_label, allowed_valences
-from .molecule import ChemError, Molecule, _bond_split
+from .molecule import ChemError, Molecule, _tally
 from .rings import all_cycles
 
 
@@ -36,11 +38,11 @@ def kekulize(m: Molecule) -> Molecule:
 
     needs: dict[int, int] = {}
     arom_atoms = sorted({v for e in arom_edges for v in e})
+    tallies = _tally(m)[0]
     for v in arom_atoms:
-        atom = parse_atom_label(g.label(v))
+        atom, _, single, arom, _, _ = tallies[v]
         if atom is None:
             raise KekulizationError(f"node {v} label {g.label(v)!r} is not an atom")
-        single, arom = _bond_split(m, v)
         base = single + arom
         valences = [val for val in allowed_valences(atom.element, atom.charge)
                     if val >= base]
@@ -56,11 +58,6 @@ def kekulize(m: Molecule) -> Molecule:
                 f"node {v} ({g.label(v)}) needs {need} extra bonds; cannot kekulize")
         needs[v] = need
 
-    arom_adj: dict[int, list[int]] = {v: [] for v in arom_atoms}
-    for u, v in arom_edges:
-        arom_adj[u].append(v)
-        arom_adj[v].append(u)
-
     pending = sorted(v for v in arom_atoms if needs[v] == 1)
     matched: dict[int, int] = {}
 
@@ -70,8 +67,8 @@ def kekulize(m: Molecule) -> Molecule:
         if i == len(pending):
             return True
         v = pending[i]
-        for u in sorted(arom_adj[v]):
-            if needs[u] == 1 and u not in matched:
+        for u, lbl in g.neighbors(v).items():  # ascending
+            if lbl == ":" and needs[u] == 1 and u not in matched:
                 matched[v] = u
                 matched[u] = v
                 if search(i + 1):
@@ -82,13 +79,8 @@ def kekulize(m: Molecule) -> Molecule:
     if not search(0):
         raise KekulizationError("no alternating single/double assignment exists")
 
-    labels = []
-    for v in g.nodes():
-        atom = parse_atom_label(g.label(v))
-        if atom is not None and atom.aromatic:
-            labels.append(AtomLabel(atom.element, atom.charge, atom.cls, False).render())
-        else:
-            labels.append(g.label(v))
+    labels = [replace(atom, aromatic=False).render() if atom is not None and atom.aromatic
+              else g.label(v) for v, (atom, *_) in enumerate(tallies)]
     bonds = [(u, v, "=" if matched.get(u) == v else "-") for u, v in arom_edges]
     return Molecule(_edited(g, labels, g.nodes(), (), bonds), dict(m.explicit_h),
                     filled=m.filled)
@@ -169,13 +161,11 @@ def perceive_aromaticity(m: Molecule) -> Molecule:
         return kek
 
     kg = kek.graph
-    labels = []
-    for v in kg.nodes():
-        atom = parse_atom_label(kg.label(v))
-        if v in arom_atoms and atom is not None:
-            labels.append(AtomLabel(atom.element, atom.charge, atom.cls, True).render())
-        else:
-            labels.append(kg.label(v))
+    labels = list(kg.node_labels)
+    for v in arom_atoms:
+        atom = parse_atom_label(labels[v])
+        if atom is not None:
+            labels[v] = replace(atom, aromatic=True).render()
     bonds = [(u, v, ":") for u, v in arom_bonds]
     return Molecule(_edited(kg, labels, kg.nodes(), (), bonds), dict(kek.explicit_h),
                     filled=kek.filled)

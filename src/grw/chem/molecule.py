@@ -32,7 +32,7 @@ class Molecule:
     def atom(self, v: int) -> AtomLabel:
         lbl = parse_atom_label(self.graph.label(v))
         if lbl is None:
-            raise ChemError(f"node {v} label {self.graph.label(v)!r} is not an atom label")
+            raise _not_an_atom(self.graph, v)
         return lbl
 
 
@@ -47,16 +47,51 @@ class Violation:
         return self.message
 
 
-def _bond_split(m: Molecule, v: int) -> tuple[int, int]:
-    """(integer order sum of non-aromatic bonds, number of aromatic bonds)."""
-    single_sum = 0
-    aromatic = 0
-    for _, lbl in m.graph.neighbors(v).items():
-        if lbl == ":":
-            aromatic += 1
-        else:
-            single_sum += int(BOND_ORDERS.get(lbl, 0))
-    return single_sum, aromatic
+# Integer order of each non-aromatic bond symbol; other labels add 0.
+_ORDER = {s: int(o) for s, o in BOND_ORDERS.items() if s != ":"}
+
+
+def _tally(m: Molecule):
+    """Every atom's bonds in one pass: ``(atoms, heavy, heavy_adj, odd_edges)``.
+
+    ``atoms[v]`` is ``(label, h, single, aromatic, heavy_single,
+    heavy_aromatic)``: the parsed label (``None`` if no atom), the number
+    of ``H`` neighbours, then the non-aromatic bond-order sum and the
+    aromatic bond count over all neighbours and over heavy ones.
+    ``heavy_adj[i]`` maps the heavy neighbours of ``heavy[i]``, by index
+    in ``heavy``, to bond labels; ``odd_edges`` lists the ``(u, v, label)``
+    that are no bond, in :meth:`~grw.core.LabeledGraph.edges` order.
+    """
+    g = m.graph
+    labels = g.node_labels
+    parsed = {lbl: parse_atom_label(lbl) for lbl in set(labels)}
+    heavy = [v for v, lbl in enumerate(labels) if lbl != "H"]
+    index = [0] * len(labels)
+    for i, v in enumerate(heavy):
+        index[v] = i
+    heavy_adj: list[dict[int, str]] = [{} for _ in heavy]
+    atoms, odd, unused = [], [], {}  # unused: the heavy rows of H atoms, never read
+    for v, lbl in enumerate(labels):
+        row = heavy_adj[index[v]] if lbl != "H" else unused
+        h = h_single = h_aromatic = single = aromatic = 0
+        for u, bond in g.neighbors(v).items():
+            if bond not in BOND_SYMBOLS and u > v:
+                odd.append((v, u, bond))
+            if labels[u] == "H":
+                h += 1
+                h_single += _ORDER.get(bond, 0)
+                h_aromatic += bond == ":"
+            else:
+                row[index[u]] = bond
+                single += _ORDER.get(bond, 0)
+                aromatic += bond == ":"
+        atoms.append((parsed[lbl], h, single + h_single, aromatic + h_aromatic,
+                      single, aromatic))
+    return atoms, heavy, heavy_adj, odd
+
+
+def _not_an_atom(g: LabeledGraph, v: int) -> ChemError:
+    return ChemError(f"node {v} label {g.label(v)!r} is not an atom label")
 
 
 def fill_hydrogens(m: Molecule) -> Molecule:
@@ -70,16 +105,14 @@ def fill_hydrogens(m: Molecule) -> Molecule:
     """
     labels = list(m.graph.node_labels)
     added: list[tuple[int, int, str]] = []
-    for v in m.graph.nodes():
-        atom = m.atom(v)
-        current_h = sum(1 for u in m.graph.neighbors(v)
-                        if m.graph.label(u) == "H")
+    for v, (atom, current_h, single_sum, aromatic, _, _) in enumerate(_tally(m)[0]):
+        if atom is None:
+            raise _not_an_atom(m.graph, v)
         if v in m.explicit_h:
             missing = m.explicit_h[v] - current_h
         elif atom.element == "H":
             missing = 0
         else:
-            single_sum, aromatic = _bond_split(m, v)
             target = implicit_hydrogens(atom.element, atom.charge, single_sum, aromatic)
             missing = 0 if target is None else target
         for _ in range(max(0, missing)):
@@ -107,18 +140,16 @@ def sanity_check(m: Molecule) -> list[Violation]:
                              f"molecule is not connected ({len(connected)} of "
                              f"{g.node_count} atoms reachable from atom 0)"))
 
-    for u, v, lbl in g.edges():
-        if lbl not in BOND_SYMBOLS:
-            out.append(Violation("bond-label", u,
-                                 f"edge ({u}, {v}) label {lbl!r} is not a bond symbol"))
+    atoms, _, _, odd_edges = _tally(m)
+    for u, v, lbl in odd_edges:
+        out.append(Violation("bond-label", u,
+                             f"edge ({u}, {v}) label {lbl!r} is not a bond symbol"))
 
-    for v in g.nodes():
-        atom = parse_atom_label(g.label(v))
+    for v, (atom, _, single_sum, aromatic, _, _) in enumerate(atoms):
         if atom is None:
             out.append(Violation("atom-label", v,
                                  f"label {g.label(v)!r} is not an atom label"))
             continue
-        single_sum, aromatic = _bond_split(m, v)
         if atom.aromatic and aromatic < 2:
             out.append(Violation("aromatic", v,
                                  f"aromatic atom {v} has {aromatic} aromatic bonds"))

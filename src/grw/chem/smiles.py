@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 from ..core import LabeledGraph
 from ..match import canonical_form
-from .atoms import (AtomLabel, BOND_ORDERS, ORGANIC_SUBSET, implicit_hydrogens,
-                    parse_atom_label, ELEMENTS)
+from .atoms import (AtomLabel, ORGANIC_SUBSET, implicit_hydrogens, parse_atom_label,
+                    ELEMENTS)
 from .aromatic import perceive_aromaticity
-from .molecule import ChemError, Molecule, sanity_check
+from .molecule import ChemError, Molecule, _not_an_atom, _tally, sanity_check
 
 
 class SmilesError(ChemError):
@@ -233,45 +233,15 @@ def parse_molecule(text: str, groups=None) -> Molecule:
 
 # -- canonical form ----------------------------------------------------------
 
-@dataclass
-class _Heavy:
-    """Hydrogen-suppressed view used for canonicalization."""
-    atoms: list[AtomLabel]
-    h_count: list[int]
-    adj: list[dict[int, str]]
-
-
-def _heavy_view(m: Molecule) -> _Heavy | None:
-    g = m.graph
-    heavy = [v for v in g.nodes() if g.label(v) != "H"]
-    if not heavy:
-        return None
-    index = {v: i for i, v in enumerate(heavy)}
-    atoms, h_count = [], []
-    for v in heavy:
-        atoms.append(m.atom(v))
-        h_count.append(sum(1 for u in g.neighbors(v) if g.label(u) == "H"))
-    if sum(h_count) != g.node_count - len(heavy):
-        raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
-    adj: list[dict[int, str]] = [dict() for _ in heavy]
-    for u, v, lbl in g.edges():
-        if u in index and v in index:
-            a, b = index[u], index[v]
-            adj[a][b] = lbl
-            adj[b][a] = lbl
-    return _Heavy(atoms, h_count, adj)
-
-
 _BOND_RANK = {"-": 0, "=": 1, "#": 2, ":": 3}
-_BOND_ORDER = {s: int(o) for s, o in BOND_ORDERS.items() if s != ":"}
 
 
-def _initial_colors(h: _Heavy) -> list[int]:
+def _initial_colors(heavy: list[tuple], adj: list[dict[int, str]]) -> list[int]:
+    """Colour of each heavy atom from its tally and its heavy-atom bonds."""
     sigs = []
-    for i, atom in enumerate(h.atoms):
-        bond_sig = tuple(sorted(h.adj[i].values()))
+    for (atom, h, *_), row in zip(heavy, adj):
         sigs.append((atom.element, atom.charge, atom.cls if atom.cls is not None else -1,
-                     atom.aromatic, len(h.adj[i]), h.h_count[i], bond_sig))
+                     atom.aromatic, len(row), h, tuple(sorted(row.values()))))
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     return [ranking[s] for s in sigs]
 
@@ -289,9 +259,10 @@ def _atom_token(atom: AtomLabel, h: int, heavy_single: int, heavy_aromatic: int)
     return f"[{text[:k]}{hs}{text[k:]}]"
 
 
-def _emit(h: _Heavy, rank: list[int]) -> str:
+def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
+          rank: list[int]) -> str:
     """Write SMILES following ranks: lowest-rank root, neighbors by rank."""
-    n = len(h.atoms)
+    n = len(tokens)
     root = rank.index(0)
 
     # Depth-first spanning tree, children in rank order.  A bond to an
@@ -299,10 +270,8 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
     # at that earlier atom.
     parent: dict[int, int | None] = {root: None}
     preindex = {root: 0}
-    tree_children: dict[int, list[int]] = {v: [] for v in range(n)}
-    back_open: dict[int, list[int]] = {v: [] for v in range(n)}
-    back_close: dict[int, list[int]] = {v: [] for v in range(n)}
-    walk = [(root, iter(sorted(h.adj[root], key=rank.__getitem__)))]
+    tree_children, back_open, back_close = ([[] for _ in range(n)] for _ in range(3))
+    walk = [(root, iter(sorted(adj[root], key=rank.__getitem__)))]
     while walk:
         v, pending = walk[-1]
         for u in pending:
@@ -310,7 +279,7 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
                 preindex[u] = len(preindex)
                 parent[u] = v
                 tree_children[v].append(u)
-                walk.append((u, iter(sorted(h.adj[u], key=rank.__getitem__))))
+                walk.append((u, iter(sorted(adj[u], key=rank.__getitem__))))
                 break
             if preindex[u] < preindex[v] and u != parent[v]:
                 back_open[u].append(v)
@@ -325,11 +294,11 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
     out: list[str] = []
 
     def bond_str(a: int, b: int) -> str:
-        lbl = h.adj[a][b]
+        lbl = adj[a][b]
         if lbl == "-":
-            return "" if not (h.atoms[a].aromatic and h.atoms[b].aromatic) else "-"
+            return "" if not (aromatic[a] and aromatic[b]) else "-"
         if lbl == ":":
-            return "" if (h.atoms[a].aromatic and h.atoms[b].aromatic) else ":"
+            return "" if (aromatic[a] and aromatic[b]) else ":"
         return lbl
 
     def digit_token(d: int) -> str:
@@ -342,13 +311,7 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
         if isinstance(v, str):
             out.append(v)
             continue
-        single, arom = 0, 0
-        for u, lbl in h.adj[v].items():
-            if lbl == ":":
-                arom += 1
-            else:
-                single += _BOND_ORDER[lbl]
-        out.append(_atom_token(h.atoms[v], h.h_count[v], single, arom))
+        out.append(tokens[v])
         for u in sorted(back_close[v], key=lambda u: preindex[u]):
             d = digit_of.pop((u, v))
             free.append(d)
@@ -367,28 +330,41 @@ def _emit(h: _Heavy, rank: list[int]) -> str:
     return "".join(out)
 
 
-def _canonical_string(h: _Heavy) -> str:
-    adj = [[(u, _BOND_RANK[lbl]) for u, lbl in a.items()] for a in h.adj]
-    return canonical_form(adj, _initial_colors(h), lambda rank: _emit(h, rank))
-
-
 def canonical_smiles(m: Molecule) -> str:
     """Canonical SMILES of a filled molecule.
 
     The same string is produced for every node ordering of isomorphic
     molecules, and re-parsing it (plus hydrogen fill) reproduces the
-    molecule up to isomorphism.
+    molecule up to isomorphism.  Raises :class:`ChemError` for a molecule
+    that is not filled, holds a label that is no atom, has a hydrogen
+    not bonded to exactly one heavy atom, joins two heavy atoms by a
+    label that is no bond symbol, or is not connected.
     """
     if not m.filled:
         raise ChemError("canonical_smiles requires a hydrogen-filled molecule")
-    h = _heavy_view(m)
-    if h is None:
+    atoms, heavy_nodes, adj, odd_edges = _tally(m)
+    if not heavy_nodes:
         if m.graph.node_count == 1:
             return "[H]"
         if m.graph.node_count == 2 and m.graph.edge_count == 1:
             return "[H][H]"
         raise ChemError("cannot canonicalize an all-hydrogen fragment this large")
-    return _canonical_string(h)
+    heavy = [atoms[v] for v in heavy_nodes]
+    for v, (atom, *_) in zip(heavy_nodes, heavy):
+        if atom is None:
+            raise _not_an_atom(m.graph, v)
+    if sum(h for _, h, *_ in heavy) != m.graph.node_count - len(heavy):
+        raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
+    labels = m.graph.node_labels
+    for u, v, lbl in odd_edges:
+        if labels[u] != "H" and labels[v] != "H":
+            raise ChemError(f"canonical_smiles requires bond symbols between heavy atoms; "
+                            f"edge ({u}, {v}) label {lbl!r} is not one")
+    tokens = [_atom_token(atom, h, single, arom) for atom, h, _, _, single, arom in heavy]
+    aromatic = [atom.aromatic for atom, *_ in heavy]
+    return canonical_form([[(u, _BOND_RANK[lbl]) for u, lbl in row.items()] for row in adj],
+                          _initial_colors(heavy, adj),
+                          lambda rank: _emit(tokens, aromatic, adj, rank))
 
 
 def accept_product(m: Molecule) -> tuple[str, Molecule]:

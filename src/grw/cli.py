@@ -20,10 +20,9 @@ from .core import GmlError, disjoint_union, parse_gml_graph, \
 from .match import canonical_key
 from .rules import RuleGraph, apply_all, explore, parse_gml_rule
 from . import demos, network
-from .chem import (ChemError, GroupRegistry, Molecule, accept_product, canonical_smiles,
-                   check_chem_rule, fill_hydrogens, load_energy_model,
-                   parse_gml_groups, parse_smiles, perceive_aromaticity,
-                   sanity_check, RateParams)
+from .chem import (ChemError, GroupRegistry, Molecule, accept_product, check_chem_rule,
+                   fill_hydrogens, load_energy_model, parse_gml_groups, parse_smiles,
+                   RateParams)
 
 EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN = 0, 1, 2, 3
 
@@ -58,15 +57,6 @@ def _load_groups(path: str | None) -> GroupRegistry | None:
     return parse_gml_groups(_read_text(path))
 
 
-def _prepare_molecule(m: Molecule) -> Molecule:
-    """fill → perceive → sanity or DomainError."""
-    mol = perceive_aromaticity(fill_hydrogens(m))
-    issues = sanity_check(mol)
-    if issues:
-        raise DomainError("; ".join(str(v) for v in issues))
-    return mol
-
-
 def _rule_paths(specs: list[str]) -> list[Path]:
     paths: list[Path] = []
     for spec in specs:
@@ -99,8 +89,9 @@ def _load_chem_rules(specs: list[str]) -> list[RuleGraph]:
 def _cmd_canon(args) -> int:
     groups = _load_groups(args.groups)
     for text in args.smiles:
-        mols = [_prepare_molecule(m) for m in parse_smiles(text, groups)]
-        print(".".join(sorted(canonical_smiles(m) for m in mols)))
+        # Inputs are filled, then checked and named as a rule's product is.
+        canons = [accept_product(fill_hydrogens(m))[0] for m in parse_smiles(text, groups)]
+        print(".".join(sorted(canons)))
     return EXIT_OK
 
 
@@ -111,7 +102,7 @@ def _cmd_apply(args) -> int:
         if violations:
             raise DomainError("; ".join(str(v) for v in violations))
         groups = _load_groups(args.groups)
-        mols = [_prepare_molecule(m) for m in parse_smiles(args.smiles, groups)]
+        mols = [accept_product(fill_hydrogens(m))[1] for m in parse_smiles(args.smiles, groups)]
         host, _ = disjoint_union([m.graph for m in mols])
     else:
         host = parse_gml_graph(_read_text(args.graph))
@@ -138,7 +129,7 @@ def _cmd_toychem(args) -> int:
     groups = _load_groups(args.groups)
     seeds = []
     for text in args.smiles:
-        seeds.extend(_prepare_molecule(m) for m in parse_smiles(text, groups))
+        seeds.extend(accept_product(fill_hydrogens(m))[1] for m in parse_smiles(text, groups))
     model = load_energy_model(_read_text(args.energy)) if args.energy else None
     try:
         cfg = network.ExpansionConfig(

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .core import GraphPool, LabeledGraph, connected_components, disjoint_union
+from .core import GraphPool, LabeledGraph, _gml_string, connected_components, disjoint_union
 from .match import NoEdge, Pattern, constraint_nodes, find_monomorphisms, remap_constraint
 from .rules import RuleGraph, apply as apply_rule, reverse_rule
 from .chem import (ChemError, EnergyModel, Molecule, RateParams, accept_product,
@@ -336,7 +336,10 @@ def to_dot(net: ReactionNetwork) -> str:
 
 def to_gml(net: ReactionNetwork) -> str:
     """GML dump of the hypergraph: molecule and reaction nodes, directed
-    edges with empty labels mirroring the DOT arcs."""
+    edges with empty labels mirroring the DOT arcs.  A rule id that a GML
+    string cannot hold raises :class:`ValueError`."""
+    for rule_id in dict.fromkeys(rxn.rule_id for rxn in net.reactions):
+        _gml_string(rule_id, "a reaction node")
     lines = ["graph [", "  directed 1"]
     canons = sorted(net.molecules)
     index = {c: i for i, c in enumerate(canons)}

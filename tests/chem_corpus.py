@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 from random import Random
 
-from grw import LabeledGraph
-from grw.chem import (AROMATIC_ELEMENTS, AtomLabel, Molecule, canonical_smiles, fill_hydrogens,
-                      parse_atom_label, parse_molecule, perceive_aromaticity,
-                      sanity_check)
+from grw import LabeledGraph, parse_gml_rule
+from grw.chem import (AROMATIC_ELEMENTS, AtomLabel, Molecule, canonical_smiles,
+                      check_chem_rule, fill_hydrogens, parse_atom_label, parse_molecule,
+                      perceive_aromaticity, sanity_check)
+from grw.network import ExpansionConfig, expand
 
 CORPUS = Path(__file__).resolve().parent / "data" / "chem_corpus.json"
 
@@ -63,11 +65,6 @@ BONDS = ["-", "=", "#", ":", "~"]
 
 def formose_smiles(iterations: int = 5) -> list[str]:
     """Canonical SMILES of the formose network up to ``iterations``."""
-    from importlib import resources
-
-    from grw import parse_gml_rule
-    from grw.chem import check_chem_rule
-    from grw.network import ExpansionConfig, expand
     rules = []
     for name in ("keto_enol.gml", "keto_enol_reverse.gml", "aldol.gml", "aldol_reverse.gml"):
         text = (resources.files("grw") / "assets" / name).read_text()
@@ -109,10 +106,10 @@ def mutations(g: LabeledGraph, rng: Random) -> list[list]:
 
 
 def apply_edit(g: LabeledGraph, edit: list | None) -> LabeledGraph:
-    labels = list(g.node_labels)
-    edges = g.edges()
     if edit is None:
         return g
+    labels = list(g.node_labels)
+    edges = g.edges()
     if edit[0] == "atom":
         labels[edit[1]] = edit[2]
     elif edit[0] == "bond":

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from grw import canonical_key, disjoint_union
+from grw import LabeledGraph, canonical_key, disjoint_union
 from grw.chem import (ChemError, Molecule, canonical_smiles, fill_hydrogens, parse_smiles,
                       perceive_aromaticity)
 from grw.network import ExpansionConfig, expand
@@ -109,6 +109,18 @@ class TestDisconnected:
     def test_expand_refuses_a_disconnected_seed(self, formose_rules, second):
         with pytest.raises(ChemError):
             expand([union("OCC=O", second)], formose_rules, ExpansionConfig(iterations=1))
+
+
+class TestNonBondLabel:
+    """An edge label that is no bond symbol between two heavy atoms is
+    refused with a ChemError naming the edge."""
+
+    @pytest.mark.parametrize("via_fill", [False, True])
+    def test_tilde_between_carbons(self, via_fill):
+        g = LabeledGraph.from_parts(["C", "C", "H"], [(0, 1, "~"), (0, 2, "-")])
+        m = fill_hydrogens(Molecule(g)) if via_fill else Molecule(g, {}, filled=True)
+        with pytest.raises(ChemError, match=r"edge \(0, 1\) label '~'"):
+            canonical_smiles(m)
 
 
 class TestInvariance:

@@ -3,8 +3,11 @@
 No module imports a name it never uses; package ``__init__`` modules are
 skipped, since their imports are the package's re-exports.  No module
 but ``core.py`` reads the storage attributes of ``LabeledGraph``, so
-that the way edges are stored is known in one place.  Importing the
-package again does not keep the old copy alive.
+that the way edges are stored is known in one place.  Only the module
+that defines ``BOND_ORDERS``, the molecule tally and the rule check read
+it, so that no other module decides how a bond label counts toward
+valence.
+Importing the package again does not keep the old copy alive.
 """
 
 from __future__ import annotations
@@ -78,6 +81,35 @@ def test_storage_names_cover_the_slots():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "core.py"])
 def test_graph_storage_is_read_only_in_core(module):
     assert storage_reads((SRC / module).read_text()) == []
+
+
+# Modules that may read the bond-order table; package __init__ modules
+# re-export it and are not in MODULES.
+BOND_ORDER_READERS = frozenset({"chem/atoms.py", "chem/molecule.py", "chem/rulecheck.py"})
+
+
+def bond_order_reads(source: str) -> list[int]:
+    """Lines that import, name or take the attribute ``BOND_ORDERS``."""
+    tree = ast.parse(source)
+    lines = set()
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Name) and n.id == "BOND_ORDERS"
+                or isinstance(n, ast.Attribute) and n.attr == "BOND_ORDERS"
+                or isinstance(n, ast.ImportFrom)
+                and any(a.name == "BOND_ORDERS" for a in n.names)):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_a_bond_order_read():
+    source = ("from .atoms import BOND_ORDERS as B\nx = atoms.BOND_ORDERS[':']\n"
+              "y = BOND_SYMBOLS\nz = sorted(BOND_ORDERS)\n")
+    assert bond_order_reads(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in BOND_ORDER_READERS])
+def test_bond_orders_are_read_only_by_the_valence_model(module):
+    assert bond_order_reads((SRC / module).read_text()) == []
 
 
 REIMPORT = """

@@ -387,6 +387,23 @@ class TestExports:
         arcs = sum(len(r.reactants) + len(r.products) for r in net.reactions)
         assert edge_lines == arcs
 
+    @pytest.mark.parametrize("rule_id", ['keep "C"', "keep\nC"])
+    def test_gml_refuses_a_rule_id_it_cannot_quote(self, rule_id):
+        rule = RuleGraph(rule_id, [RuleNode(1, "C", "C")], [])
+        net = expand([prep("CC")], [rule], ExpansionConfig(iterations=1))
+        assert net.reaction_count == 1
+        with pytest.raises(ValueError, match="a reaction node has a label"):
+            to_gml(net)
+
+    def test_gml_checks_each_rule_id_once(self, monkeypatch, formose_net5):
+        import grw.network
+        checked = []
+        real = grw.network._gml_string
+        monkeypatch.setattr(grw.network, "_gml_string",
+                            lambda label, owner: checked.append(label) or real(label, owner))
+        to_gml(formose_net5)
+        assert sorted(checked) == sorted({r.rule_id for r in formose_net5.reactions})
+
 
 # Formose at a 32-atom cap to iteration 8: most aldol matches are sized out
 # by the rule's product table before anything is built.
