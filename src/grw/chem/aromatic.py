@@ -10,6 +10,7 @@ exactly the "de-aromatize" behavior needed after a rewrite breaks a ring.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import replace
 
 from ..core import _edited
@@ -58,26 +59,35 @@ def kekulize(m: Molecule) -> Molecule:
                 f"node {v} ({g.label(v)}) needs {need} extra bonds; cannot kekulize")
         needs[v] = need
 
+    # Backtracking on an explicit stack: the first unmatched pending atom
+    # takes its first free aromatic neighbour in ascending order; a dead
+    # end undoes the latest choice and tries that atom's next neighbour.
     pending = sorted(v for v in arom_atoms if needs[v] == 1)
     matched: dict[int, int] = {}
-
-    def search(i: int) -> bool:
+    stack: list[tuple[int, Iterator[int]]] = []
+    i = 0
+    while True:
         while i < len(pending) and pending[i] in matched:
             i += 1
         if i == len(pending):
-            return True
-        v = pending[i]
-        for u, lbl in g.neighbors(v).items():  # ascending
-            if lbl == ":" and needs[u] == 1 and u not in matched:
-                matched[v] = u
-                matched[u] = v
-                if search(i + 1):
-                    return True
-                del matched[v], matched[u]
-        return False
-
-    if not search(0):
-        raise KekulizationError("no alternating single/double assignment exists")
+            break
+        # The generator tests "u not in matched" when it is advanced.
+        stack.append((i, (u for u, lbl in g.neighbors(pending[i]).items()
+                          if lbl == ":" and needs[u] == 1 and u not in matched)))
+        while stack:
+            i, partners = stack[-1]
+            v = pending[i]
+            if v in matched:  # back from a dead end
+                del matched[matched.pop(v)]
+            u = next(partners, None)
+            if u is not None:
+                break
+            stack.pop()
+        else:
+            raise KekulizationError("no alternating single/double assignment exists")
+        matched[v] = u
+        matched[u] = v
+        i += 1
 
     labels = [replace(atom, aromatic=False).render() if atom is not None and atom.aromatic
               else g.label(v) for v, (atom, *_) in enumerate(tallies)]

@@ -330,6 +330,13 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
     return "".join(out)
 
 
+def _bad_bond(u: int, v: int, lbl: str, labels: tuple[str, ...]) -> ChemError:
+    what = ("single bonds to hydrogens" if "H" in (labels[u], labels[v])
+            else "bond symbols between heavy atoms")
+    return ChemError(f"canonical_smiles requires {what}; edge ({u}, {v}) label {lbl!r} "
+                     f"is not one")
+
+
 def canonical_smiles(m: Molecule) -> str:
     """Canonical SMILES of a filled molecule.
 
@@ -338,7 +345,8 @@ def canonical_smiles(m: Molecule) -> str:
     molecule up to isomorphism.  Raises :class:`ChemError` for a molecule
     that is not filled, holds a label that is no atom, has a hydrogen
     not bonded to exactly one heavy atom, joins two heavy atoms by a
-    label that is no bond symbol, or is not connected.
+    label that is no bond symbol, bonds a hydrogen by anything but ``-``,
+    or is not connected.
     """
     if not m.filled:
         raise ChemError("canonical_smiles requires a hydrogen-filled molecule")
@@ -356,10 +364,16 @@ def canonical_smiles(m: Molecule) -> str:
     if sum(h for _, h, *_ in heavy) != m.graph.node_count - len(heavy):
         raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
     labels = m.graph.node_labels
-    for u, v, lbl in odd_edges:
-        if labels[u] != "H" and labels[v] != "H":
-            raise ChemError(f"canonical_smiles requires bond symbols between heavy atoms; "
-                            f"edge ({u}, {v}) label {lbl!r} is not one")
+    if odd_edges:
+        raise _bad_bond(*odd_edges[0], labels)
+    # With no odd label, every bond to a hydrogen orders at least 1, so
+    # an atom's hydrogen bonds are all "-" when their orders sum to its
+    # hydrogen count and none is aromatic.
+    for v, (_, h, single, arom, heavy_single, heavy_arom) in zip(heavy_nodes, heavy):
+        if single - heavy_single != h or arom != heavy_arom:
+            u, lbl = next((u, lbl) for u, lbl in m.graph.neighbors(v).items()
+                          if labels[u] == "H" and lbl != "-")
+            raise _bad_bond(*sorted((u, v)), lbl, labels)
     tokens = [_atom_token(atom, h, single, arom) for atom, h, _, _, single, arom in heavy]
     aromatic = [atom.aromatic for atom, *_ in heavy]
     return canonical_form([[(u, _BOND_RANK[lbl]) for u, lbl in row.items()] for row in adj],

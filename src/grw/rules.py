@@ -202,34 +202,19 @@ def parse_gml_rule(text: str, groups=None) -> RuleGraph:
     ts.expect_word("ruleID")
     rule_id = ts.expect("str", "rule id string").value
 
+    # Each table maps a node id or an edge's end pair to its labels per
+    # side, in declaration order.
     node_sides: dict[int, dict[str, str]] = {}
-    node_order: list[int] = []
     edge_sides: dict[tuple[int, int], dict[str, str]] = {}
-    edge_order: list[tuple[int, int]] = []
     constraints: list[MatchConstraint] = []
     wildcard: str | None = None
     seen_sections: set[str] = set()
 
-    def add_node(nid: int, side: str, label: str, tok) -> None:
-        entry = node_sides.setdefault(nid, {})
-        if nid not in node_order:
-            node_order.append(nid)
-        sides = ("left", "right") if side == "context" else (side,)
-        for s in sides:
+    def add(table: dict, key, what: str, side: str, label: str, tok) -> None:
+        entry = table.setdefault(key, {})
+        for s in ("left", "right") if side == "context" else (side,):
             if s in entry:
-                raise GmlError(f"node {nid} already has a {s} label", tok.line, tok.column)
-            entry[s] = label
-
-    def add_edge(src: int, tgt: int, side: str, label: str, tok) -> None:
-        key = _normalize(src, tgt)
-        entry = edge_sides.setdefault(key, {})
-        if key not in edge_order:
-            edge_order.append(key)
-        sides = ("left", "right") if side == "context" else (side,)
-        for s in sides:
-            if s in entry:
-                raise GmlError(f"edge ({src}, {tgt}) already has a {s} label",
-                               tok.line, tok.column)
+                raise GmlError(f"{what} already has a {s} label", tok.line, tok.column)
             entry[s] = label
 
     while True:
@@ -261,7 +246,7 @@ def parse_gml_rule(text: str, groups=None) -> RuleGraph:
                 (nid,), lbl = _parse_element(ts, tok)
                 if lbl == "":
                     raise GmlError(f"node {nid} has an empty label", tok.line, tok.column)
-                add_node(nid, section, lbl, tok)
+                add(node_sides, nid, f"node {nid}", section, lbl, tok)
             elif tok.value == "edge":
                 (src, tgt), lbl = _parse_element(ts, tok)
                 if lbl == "":
@@ -269,7 +254,7 @@ def parse_gml_rule(text: str, groups=None) -> RuleGraph:
                                    tok.line, tok.column)
                 if src == tgt:
                     raise GmlError(f"self-loop on node {src}", tok.line, tok.column)
-                add_edge(src, tgt, section, lbl, tok)
+                add(edge_sides, _normalize(src, tgt), f"edge ({src}, {tgt})", section, lbl, tok)
             elif tok.value in _CONSTRAINT_KINDS:
                 if section == "right":
                     raise GmlError("constraints are not allowed in the right section",
@@ -280,11 +265,9 @@ def parse_gml_rule(text: str, groups=None) -> RuleGraph:
     if not ts.at_end():
         raise ts.error("trailing content after rule block")
 
-    nodes = [RuleNode(nid, node_sides[nid].get("left"), node_sides[nid].get("right"))
-             for nid in node_order]
-    edges = [RuleEdge(src, tgt, edge_sides[(src, tgt)].get("left"),
-                      edge_sides[(src, tgt)].get("right"))
-             for src, tgt in edge_order]
+    nodes = [RuleNode(nid, e.get("left"), e.get("right")) for nid, e in node_sides.items()]
+    edges = [RuleEdge(src, tgt, e.get("left"), e.get("right"))
+             for (src, tgt), e in edge_sides.items()]
     if groups is not None:
         raw_nodes, raw_edges = groups.expand_rule_elements(
             [(n.id, n.left, n.right) for n in nodes],
@@ -470,12 +453,6 @@ def explore(starts: Sequence[LabeledGraph], rules: Sequence[RuleGraph],
         chain.reverse()
         return chain
 
-    def reached(k: str, g: LabeledGraph, via: str | None) -> bool:
-        """Record ``g`` under ``k``, reached from ``via``; whether it is a goal."""
-        visited[k] = g
-        parent[k] = via
-        return goal is not None and goal(g)
-
     def successors(g: LabeledGraph) -> Iterator[LabeledGraph]:
         for rule in rules:
             fingerprints: set[tuple] = set()
@@ -485,48 +462,29 @@ def explore(starts: Sequence[LabeledGraph], rules: Sequence[RuleGraph],
                     fingerprints.add(fingerprint)
                     yield res.graph
 
-    if strategy == "bfs":
-        frontier: deque[tuple[str, int]] = deque()
-        for g in starts:
-            k = key(g)
-            if k in visited:
-                continue
-            if reached(k, g, None):
-                return ExploreResult(visited, reconstruct(k))
-            frontier.append((k, 0))
-        while frontier:
-            k, d = frontier.popleft()
-            if d >= depth:
-                continue
-            for h in successors(visited[k]):
-                ck = key(h)
-                if ck in visited:
-                    continue
-                if reached(ck, h, k):
-                    return ExploreResult(visited, reconstruct(ck))
-                frontier.append((ck, d + 1))
-        return ExploreResult(visited, None)
-
-    # Depth-first with an explicit stack of successor iterators, so that
-    # deep searches do not depend on the interpreter's recursion limit.
-    for g in starts:
-        k = key(g)
-        if k in visited:
+    # One frontier of (key, depth, successor iterator) entries; the
+    # starts hang off a root entry at depth -1 that has no key.  BFS
+    # draws from the oldest entry and DFS from the newest, so BFS records
+    # every start before it expands one and DFS walks a start to the end
+    # before it keys the next.  The explicit frontier keeps deep searches
+    # clear of the interpreter's recursion limit.
+    frontier: deque[tuple[str | None, int, Iterator[LabeledGraph]]] = \
+        deque([(None, -1, iter(starts))])
+    end = 0 if strategy == "bfs" else -1
+    while frontier:
+        k, d, children = frontier[end]
+        for h in children:
+            ck = key(h)
+            if ck not in visited:
+                break
+        else:
+            del frontier[end]
             continue
-        if reached(k, g, None):
-            return ExploreResult(visited, reconstruct(k))
-        stack = [(k, 0, successors(g))] if depth > 0 else []
-        while stack:
-            k, d, children = stack[-1]
-            for h in children:
-                ck = key(h)
-                if ck not in visited:
-                    break
-            else:
-                stack.pop()
-                continue
-            if reached(ck, h, k):
-                return ExploreResult(visited, reconstruct(ck))
-            if d + 1 < depth:
-                stack.append((ck, d + 1, successors(h)))
+        visited[ck] = h
+        parent[ck] = k
+        if goal is not None and goal(h):
+            return ExploreResult(visited, reconstruct(ck))
+        if d + 1 < depth:
+            frontier.append((ck, d + 1, successors(h)))
     return ExploreResult(visited, None)
+

@@ -47,8 +47,8 @@ AROMATIC = [
 ]
 
 # Fixed edits worth pinning whatever the seed draws: a hydrogen held by a
-# double bond (the written hydrogen count follows the heavy-atom bonds
-# only), and a non-bond edge label between heavy atoms.
+# double bond (which canonical SMILES refuses), and a non-bond edge label
+# between heavy atoms.
 FIXED = [
     ("[H]=C", None),
     ("CC", ["bond", 0, 1, "~"]),

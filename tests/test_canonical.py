@@ -123,6 +123,25 @@ class TestNonBondLabel:
             canonical_smiles(m)
 
 
+class TestHydrogenBondLabel:
+    """A bond to a hydrogen labelled other than ``-`` is refused with a
+    ChemError naming the edge: methane with such a bond is no methane."""
+
+    @pytest.mark.parametrize("label", ["~", "="])
+    def test_fourth_hydrogen(self, label):
+        g = LabeledGraph.from_parts(["C", "H", "H", "H", "H"],
+                                    [(0, 1, "-"), (0, 2, "-"), (0, 3, "-"), (0, 4, label)])
+        with pytest.raises(ChemError, match=rf"hydrogens; edge \(0, 4\) label '{label}'"):
+            canonical_smiles(Molecule(g, {}, filled=True))
+
+    def test_labels_that_sum_to_a_single_bond_each(self):
+        # "=" and "~" add up to two single bonds; the "~" still counts.
+        g = LabeledGraph.from_parts(["C", "H", "H", "H", "H"],
+                                    [(0, 1, "-"), (0, 2, "="), (0, 3, "-"), (0, 4, "~")])
+        with pytest.raises(ChemError, match=r"edge \(0, 4\) label '~'"):
+            canonical_smiles(Molecule(g, {}, filled=True))
+
+
 class TestInvariance:
     def test_50_permutations_each(self, corpus):
         rng = Random(20260816)

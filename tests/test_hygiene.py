@@ -7,6 +7,9 @@ that the way edges are stored is known in one place.  Only the module
 that defines ``BOND_ORDERS``, the molecule tally and the rule check read
 it, so that no other module decides how a bond label counts toward
 valence.
+No function calls itself by name, so that no search depends on the
+interpreter's recursion limit, except two whose depth is bounded or
+pinned.
 Importing the package again does not keep the old copy alive.
 """
 
@@ -110,6 +113,44 @@ def test_checker_flags_a_bond_order_read():
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in BOND_ORDER_READERS])
 def test_bond_orders_are_read_only_by_the_valence_model(module):
     assert bond_order_reads((SRC / module).read_text()) == []
+
+
+def self_calls(source: str) -> list[str]:
+    """Dotted names of the functions that call themselves by name."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == child.name for n in ast.walk(child)):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_flags_a_self_call():
+    source = ("def f(n):\n    return f(n - 1) if n else 0\n"
+              "def g():\n    def h(x):\n        return [h(y) for y in x]\n    return h\n"
+              "def k():\n    return f(1)\n")
+    assert self_calls(source) == ["f", "g.h"]
+
+
+# ``extend`` recurses once per pattern node (ROADMAP item 6, pinned by the
+# strict xfail ``test_long_chain_into_itself``); ``recurse`` once per
+# Sudoku cell, at most 81 deep.
+RECURSIVE = {"match.py": ["find_monomorphisms.extend"],
+             "demos.py": ["solve_sudoku.recurse"]}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_calls_itself(module):
+    assert self_calls((SRC / module).read_text()) == RECURSIVE.get(module, [])
 
 
 REIMPORT = """

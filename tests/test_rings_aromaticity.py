@@ -105,6 +105,18 @@ class TestKekulize:
         with pytest.raises(KekulizationError):
             kekulize(Molecule(g, {}, filled=True))
 
+    def test_long_ring_kekulizes_without_recursion(self):
+        # One matched pair per step: a recursive search would need about
+        # 1 000 frames here and overrun the default recursion limit.
+        kek = kekulize(fill_hydrogens(parse_molecule("c1" + "c" * 1998 + "c1")))
+        doubles = [(u, v) for u, v, lbl in kek.graph.edges() if lbl == "="]
+        assert doubles == [(v, v + 1) for v in range(0, 2000, 2)]
+        assert sanity_check(kek) == []
+
+    def test_long_odd_ring_fails_cleanly(self):
+        with pytest.raises(KekulizationError):
+            kekulize(fill_hydrogens(parse_molecule("c1" + "c" * 1997 + "c1")))
+
     def test_leaves_plain_molecules_alone(self):
         m = fill_hydrogens(parse_molecule("CCO"))
         kek = kekulize(m)
