@@ -330,6 +330,9 @@ class TestBetaLactamOpening:
 
 
 FORMOSE_DIGEST = "c2fcf5be9b9a743182cf3049bc99b49edc95f533d15d64d6b7f61e781d949ddd"
+# The same run with the demo energy model, so every rate and energy
+# difference is in the exports too.
+FORMOSE_ENERGY_DIGEST = "bb5adc0c402f7223bdb9f6301b8602e69fafe34df9bcec93ad69e7e044c33037"
 
 # Formose to iteration 5 in a fresh interpreter, printing the export digest.
 FORMOSE_SCRIPT = """
@@ -352,6 +355,13 @@ class TestExports:
         digest = hashlib.sha256(
             (to_dot(formose_net5) + to_gml(formose_net5)).encode()).hexdigest()
         assert digest == FORMOSE_DIGEST
+
+    def test_formose_energy_exports_are_pinned(self, formose_rules, formose_inputs):
+        model = load_energy_model(asset_text("energy_demo.tsv"))
+        net = expand(formose_inputs, formose_rules,
+                     ExpansionConfig(iterations=5, energy_model=model))
+        digest = hashlib.sha256((to_dot(net) + to_gml(net)).encode()).hexdigest()
+        assert digest == FORMOSE_ENERGY_DIGEST
 
     @pytest.mark.parametrize("hash_seed", ["0", "12345"])
     def test_formose_exports_ignore_the_hash_seed(self, hash_seed):
