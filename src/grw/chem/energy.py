@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..match import find_monomorphisms
+from ..match import Pattern, find_monomorphisms
 from .molecule import ChemError, Molecule
 
 
@@ -34,13 +34,11 @@ class RateParams:
 
 @dataclass(frozen=True)
 class EnergyEntry:
+    """One fragment, its contribution, and its pattern, compiled once."""
     fragment: Molecule
     contribution: float
     automorphisms: int
-
-    @property
-    def pattern(self):
-        return self.fragment.graph
+    pattern: Pattern
 
 
 class EnergyModel:
@@ -52,9 +50,9 @@ class EnergyModel:
             self.add(fragment, contribution)
 
     def add(self, fragment: Molecule, contribution: float) -> None:
-        g = fragment.graph
-        auto = len(find_monomorphisms(g, g))
-        self._entries.append(EnergyEntry(fragment, float(contribution), auto))
+        pattern = Pattern(fragment.graph)
+        auto = len(find_monomorphisms(pattern, fragment.graph))
+        self._entries.append(EnergyEntry(fragment, float(contribution), auto, pattern))
 
     def __len__(self) -> int:
         return len(self._entries)

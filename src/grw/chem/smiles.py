@@ -361,9 +361,10 @@ def canonical_smiles(m: Molecule) -> str:
     for v, (atom, *_) in zip(heavy_nodes, heavy):
         if atom is None:
             raise _not_an_atom(m.graph, v)
-    if sum(h for _, h, *_ in heavy) != m.graph.node_count - len(heavy):
-        raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
     labels = m.graph.node_labels
+    if any(lbl == "H" and (atoms[v][1] or m.graph.degree(v) != 1)
+           for v, lbl in enumerate(labels)):
+        raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
     if odd_edges:
         raise _bad_bond(*odd_edges[0], labels)
     # With no odd label, every bond to a hydrogen orders at least 1, so

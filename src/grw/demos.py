@@ -8,6 +8,8 @@ Y-Δ helpers build state graphs for the transformation rules.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .core import LabeledGraph
 from .match import Adjacency, find_monomorphisms
 from .rules import RuleGraph, RuleNode, apply as apply_rule
@@ -131,8 +133,9 @@ def solve_sudoku(g: LabeledGraph) -> LabeledGraph | None:
     the cell with the fewest applicable digits."""
     rules = sudoku_rules()
     patterns = [(r, r.left_pattern()[0]) for r in rules]
-
-    def recurse(state: LabeledGraph) -> LabeledGraph | None:
+    stack: list[tuple[LabeledGraph, int, Iterator[RuleGraph]]] = []
+    state = g
+    while True:
         blanks = [v for v in state.nodes() if state.label(v) == BLANK]
         if not blanks:
             return state
@@ -141,14 +144,14 @@ def solve_sudoku(g: LabeledGraph) -> LabeledGraph | None:
             for match in find_monomorphisms(pattern, state):
                 candidates[match[0]].append(rule)
         cell = min(blanks, key=lambda v: (len(candidates[v]), v))
-        for rule in candidates[cell]:
-            nxt = apply_rule(rule, state, (cell,)).graph
-            solved = recurse(nxt)
-            if solved is not None:
-                return solved
-        return None
-
-    return recurse(g)
+        stack.append((state, cell, iter(candidates[cell])))
+        # Frames are (state, cell, untried rules); resume the deepest one left.
+        while stack and (rule := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
+            return None
+        parent, cell, _ = stack[-1]
+        state = apply_rule(rule, parent, (cell,)).graph
 
 
 def render_sudoku(g: LabeledGraph) -> str:

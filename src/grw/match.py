@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import LabeledGraph
 
@@ -174,37 +174,28 @@ class _Step(NamedTuple):
     """What the search does when it maps the ``t``-th node of the order.
 
     Labels are ``None`` where the pattern has its wildcard.  Candidates are
-    the host neighbours, along ``anchor``, of the image of an earlier node
-    (all host nodes when there is no earlier neighbour); ``backs`` are the
-    other edges to earlier nodes, and ``checks`` the constraints whose last
-    node is mapped here.
+    the host neighbours of the image of ``anchor``, the earliest earlier
+    neighbour (all host nodes when there is none); ``backs`` are the edges
+    to earlier nodes, the anchor's first, and ``checks`` the constraints
+    whose last node is mapped here.
     """
     node: int
     label: str | None
     degree: int
-    anchor: tuple[int, str | None] | None
+    anchor: int | None
     backs: tuple[tuple[int, str | None], ...]
     checks: tuple[Check, ...]
 
 
 def _search_order(g: LabeledGraph) -> list[int]:
     """Static assignment order: prefer nodes attached to already-ordered ones."""
-    n = g.node_count
     ordered: list[int] = []
-    placed = [False] * n
-    attached = [0] * n
-    for _ in range(n):
-        best = -1
-        best_key = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            key = (-attached[v], -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
+    attached = [0] * g.node_count
+    left = set(g.nodes())
+    while left:
+        best = min(left, key=lambda v: (-attached[v], -g.degree(v), v))
         ordered.append(best)
-        placed[best] = True
+        left.remove(best)
         for u in g.neighbors(best):
             attached[u] += 1
     return ordered
@@ -226,7 +217,7 @@ def _compile(pattern: Pattern) -> tuple[_Step, ...]:
                        key=lambda e: step_of[e[0]])
         label = pg.label(p)
         steps.append(_Step(p, None if label == wc else label, pg.degree(p),
-                           backs[0] if backs else None, tuple(backs[1:]),
+                           backs[0][0] if backs else None, tuple(backs),
                            tuple(checks_at[t])))
     return tuple(steps)
 
@@ -300,7 +291,9 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph,
     so a pattern reused across hosts is not compiled again; a bare graph
     is compiled on each call.  The plan fixes only the order in which
     nodes are tried, so the result is the same sorted list whatever it is.
-    The search recurses once per pattern node and enumerates every match;
+    The search backtracks on an explicit stack, one iterator of untried
+    host candidates per pattern node, so the pattern's size is not bounded
+    by the interpreter's recursion limit.  It enumerates every match;
     to decide whether two graphs are isomorphic use :func:`are_isomorphic`.
     """
     if isinstance(pattern, LabeledGraph):
@@ -316,44 +309,37 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph,
     image = [-1] * k
     used = [False] * host.node_count
     results: list[tuple[int, ...]] = []
-
-    def candidates(anchor: tuple[int, str | None] | None) -> Iterable[int]:
-        if anchor is None:
-            return host.nodes()
-        q, lbl = anchor
-        row = nbrs(image[q])
-        if lbl is None:
-            return row.keys()
-        return (u for u, hl in row.items() if hl == lbl)
-
-    def extend(t: int) -> None:
-        if t == k:
-            results.append(tuple(image))
-            return
+    # untried[t]: step t's candidates not yet tried, None before it starts.
+    # Steps below t are mapped; step t only when the search comes back to it.
+    untried: list[Iterator[int] | None] = [None] * k
+    t = 0
+    while t >= 0:
         p, plbl, pdeg, anchor, backs, checks = steps[t]
-        for h in sorted(candidates(anchor)):
-            if used[h]:
-                continue
-            if plbl is not None and host.label(h) != plbl:
-                continue
-            if host.degree(h) < pdeg:
-                continue
-            ok = True
-            for q, lbl in backs:
-                hl = host.edge_label(image[q], h)
-                if hl is None or (lbl is not None and hl != lbl):
-                    ok = False
-                    break
-            if not ok:
+        todo = untried[t]
+        if todo is None:
+            untried[t] = todo = iter(host.nodes() if anchor is None else nbrs(image[anchor]))
+        else:
+            used[image[p]] = False
+        for h in todo:
+            if used[h] or (plbl is not None and labels[h] != plbl) or len(nbrs(h)) < pdeg:
                 continue
             image[p] = h
-            used[h] = True
-            if all(check(image, labels, nbrs) for check in checks):
-                extend(t + 1)
-            used[h] = False
-            image[p] = -1
-
-    extend(0)
+            for q, lbl in backs:
+                hl = nbrs(image[q]).get(h)
+                if hl is None or (lbl is not None and hl != lbl):
+                    break
+            else:
+                if all(check(image, labels, nbrs) for check in checks):
+                    break
+        else:
+            untried[t] = None
+            t -= 1
+            continue
+        used[h] = True
+        if t + 1 == k:
+            results.append(tuple(image))
+        else:
+            t += 1
     results.sort()
     return results
 

@@ -142,6 +142,19 @@ class TestHydrogenBondLabel:
             canonical_smiles(Molecule(g, {}, filled=True))
 
 
+class TestBridgingHydrogen:
+    """Each hydrogen must be bonded to exactly one heavy atom, not merely
+    add up with the others to the heavy atoms' hydrogen counts."""
+
+    @pytest.mark.parametrize("h3_edge", [[], [(2, 3, "-")]])
+    def test_hydrogen_between_two_carbons(self, h3_edge):
+        # H2 bridges C0 and C1; H3 is left alone or bonded to H2.
+        g = LabeledGraph.from_parts(["C", "C", "H", "H"],
+                                    [(0, 1, "-"), (0, 2, "-"), (1, 2, "-")] + h3_edge)
+        with pytest.raises(ChemError, match="every hydrogen bonded to one heavy atom"):
+            canonical_smiles(Molecule(g, {}, filled=True))
+
+
 class TestInvariance:
     def test_50_permutations_each(self, corpus):
         rng = Random(20260816)

@@ -8,8 +8,7 @@ that defines ``BOND_ORDERS``, the molecule tally and the rule check read
 it, so that no other module decides how a bond label counts toward
 valence.
 No function calls itself by name, so that no search depends on the
-interpreter's recursion limit, except two whose depth is bounded or
-pinned.
+interpreter's recursion limit.
 Importing the package again does not keep the old copy alive.
 """
 
@@ -141,16 +140,9 @@ def test_checker_flags_a_self_call():
     assert self_calls(source) == ["f", "g.h"]
 
 
-# ``extend`` recurses once per pattern node (ROADMAP item 6, pinned by the
-# strict xfail ``test_long_chain_into_itself``); ``recurse`` once per
-# Sudoku cell, at most 81 deep.
-RECURSIVE = {"match.py": ["find_monomorphisms.extend"],
-             "demos.py": ["solve_sudoku.recurse"]}
-
-
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_calls_itself(module):
-    assert self_calls((SRC / module).read_text()) == RECURSIVE.get(module, [])
+    assert self_calls((SRC / module).read_text()) == []
 
 
 REIMPORT = """

@@ -1,6 +1,7 @@
 """Property tests: canonical keys and dedup against the backtracking oracle,
-exploration against a walk that keys every successor, the GML graph
-round trip, and canonical SMILES on generated molecules.
+matching against the brute-force oracle, exploration against a walk that
+keys every successor, the GML graph round trip, and canonical SMILES on
+generated molecules.
 
 Labels draw from plain letters and from short strings over an alphabet
 holding the key's separators, so a key that fails to escape them would
@@ -14,13 +15,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grw import (LabeledGraph, NoEdge, RuleEdge, RuleGraph, RuleNode, apply_all,
-                 canonical_key, explore, parse_gml_graph, parse_gml_rule,
+from grw import (Adjacency, EdgeLabel, LabeledGraph, NoEdge, NodeDegree, NodeLabel,
+                 Pattern, RuleEdge, RuleGraph, RuleNode, apply_all, canonical_key,
+                 explore, find_monomorphisms, parse_gml_graph, parse_gml_rule,
                  write_gml_graph)
 from grw.chem import Molecule, canonical_smiles, fill_hydrogens, parse_smiles
 
 from conftest import asset_text
-from oracles import isomorphic, naive_explore
+from oracles import brute_force_monomorphisms, isomorphic, naive_explore
 
 LABELS = st.one_of(st.sampled_from(["a", "b"]),
                    st.text(alphabet="ab,|;\\-:", min_size=1, max_size=3))
@@ -167,6 +169,63 @@ def test_dedup_keeps_what_a_pairwise_scan_keeps(rule, host):
             kept.append(res)
     distinct = apply_all(rule, host, dedup=True)
     assert [r.match for r in distinct] == [r.match for r in kept]
+
+
+MATCH_LABELS = ("A", "B", "C")
+MATCH_BONDS = ("-", "=")
+
+
+@st.composite
+def match_hosts(draw) -> LabeledGraph:
+    """9-12 nodes, at most four of each label, so the brute-force oracle
+    tries at most 4 host nodes for each labelled pattern node."""
+    labels = draw(st.permutations(MATCH_LABELS * 4))[:draw(st.integers(9, 12))]
+    pairs = [(u, v) for u in range(len(labels)) for v in range(u + 1, len(labels))]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+    return LabeledGraph.from_parts(
+        labels, [(u, v, draw(st.sampled_from(MATCH_BONDS))) for u, v in chosen])
+
+
+@st.composite
+def match_patterns(draw) -> Pattern:
+    """5-6 nodes, often disconnected, so steps after the first may have no
+    anchor; with a wildcard on edges and on at most one node, and up to
+    three constraints of every kind."""
+    k = draw(st.integers(5, 6))
+    wildcard = draw(st.sampled_from([None, "*"]))
+    labels = draw(st.lists(st.sampled_from(MATCH_LABELS), min_size=k, max_size=k))
+    if wildcard and draw(st.booleans()):
+        labels[draw(st.integers(0, k - 1))] = wildcard
+    bonds = MATCH_BONDS + ((wildcard,) if wildcard else ())
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = [(u, v, draw(st.sampled_from(bonds)))
+             for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=7))]
+    node = st.integers(0, k - 1)
+    node_labels = st.lists(st.sampled_from(MATCH_LABELS + bonds[2:]), max_size=3).map(frozenset)
+    edge_labels = st.lists(st.sampled_from(bonds), max_size=3).map(frozenset)
+    kinds = [st.builds(NodeLabel, node, st.sampled_from("=!"), node_labels.filter(bool)),
+             st.builds(Adjacency, node, st.sampled_from("=!<>"), st.integers(0, 3),
+                       node_labels, edge_labels),
+             st.builds(NodeDegree, node, st.sampled_from("=!<>"), st.integers(0, 4)),
+             st.lists(node, min_size=2, max_size=2, unique=True).map(lambda ab: NoEdge(*ab))]
+    if edges:
+        kinds.append(st.builds(lambda e, op, accepted: EdgeLabel(e[0], e[1], op, accepted),
+                               st.sampled_from(edges), st.sampled_from("=!"),
+                               edge_labels.filter(bool)))
+    constraints = draw(st.lists(st.one_of(kinds), max_size=3))
+    return Pattern(LabeledGraph.from_parts(labels, edges), constraints, wildcard)
+
+
+@settings(max_examples=150)
+@given(match_patterns(), match_hosts())
+@example(Pattern(LabeledGraph.from_parts(["A", "B", "*", "A", "C"],
+                                         [(0, 1, "-"), (1, 2, "*"), (3, 4, "=")]),
+                 [NoEdge(0, 3), Adjacency(4, ">", 0, frozenset({"B"}))], "*"),
+         LabeledGraph.from_parts(list("ABCABCABCA"),
+                                 [(u, v, "-="[(u + v) % 2]) for u in range(10)
+                                  for v in range(u + 1, 10) if (u * v) % 3 != 1]))
+def test_find_monomorphisms_agrees_with_brute_force(pattern, host):
+    assert find_monomorphisms(pattern, host) == brute_force_monomorphisms(pattern, host)
 
 
 YDELTA = [parse_gml_rule(asset_text(name)) for name in ("wye_to_delta.gml", "delta_to_wye.gml")]

@@ -138,6 +138,20 @@ class TestEnergy:
         val = estimate_energy(prep("OCC=O"), model)
         assert isinstance(val, float) and val != 0.0
 
+    def test_fragments_are_compiled_once(self, monkeypatch):
+        import grw.match
+        compiled = []
+        real = grw.match._compile
+        monkeypatch.setattr(grw.match, "_compile",
+                            lambda pattern: compiled.append(pattern) or real(pattern))
+        molecules = [prep(s) for s in ("OCC=O", "C=O", "OC(=O)C=O", "C=CO")]
+        model = load_energy_model(asset_text("energy_demo.tsv"))
+        assert len(compiled) == len(model) == 3
+        compiled.clear()
+        for m in molecules:
+            estimate_energy(m, model)
+        assert compiled == []
+
     def test_bad_model_line_rejected(self):
         from grw.chem import ChemError
         with pytest.raises(ChemError):
