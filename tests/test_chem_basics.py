@@ -12,9 +12,11 @@ from grw.chem import (AROMATIC_ELEMENTS, ORGANIC_SUBSET, ChemError, Molecule,
                       parse_molecule, parse_smiles, sanity_check)
 
 import chem_corpus
+import smiles_corpus
 from conftest import prep
 
 CHEM_CORPUS = json.loads(chem_corpus.CORPUS.read_text())["entries"]
+SMILES_CORPUS = json.loads(smiles_corpus.CORPUS.read_text())["entries"]
 
 
 class TestAtomLabels:
@@ -163,6 +165,23 @@ class TestParseSmiles:
         assert parse_molecule("CC").atom_count == 2
         with pytest.raises(SmilesError):
             parse_molecule("C.C")
+
+
+class TestSmilesCorpus:
+    """Seeded character edits of SMILES texts keep the outcomes recorded in
+    ``data/smiles_corpus.json``, with and without the NADH registry."""
+
+    def test_corpus_covers_every_base(self):
+        assert [e["base"] for e in SMILES_CORPUS if not e["edits"]] == smiles_corpus.bases()
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["plain", "grouped"])
+    def test_mutations_keep_their_recorded_outcome(self, grouped):
+        groups = smiles_corpus.registry()
+        for entry in SMILES_CORPUS:
+            if ("{" in entry["base"]) != grouped:
+                continue
+            text = smiles_corpus.apply_edits(entry["base"], entry["edits"])
+            assert smiles_corpus.outcomes(text, groups) == entry["outcomes"], repr(text)
 
 
 class TestFillHydrogens:

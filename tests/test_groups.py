@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from grw import GmlError, parse_gml_rule
@@ -14,6 +17,29 @@ from test_canonical import NADH, NADP
 
 NADH_GROUPED = "[{CONH2}]C1[CH2]C=CN(C=1)[{Ribo-ADP}]"
 NADP_GROUPED = "[{CONH2}]c1ccc[n+](c1)[{Ribo-ADP}]"
+
+# Two context placeholders; ``data/smiles_corpus.json`` pins its expansion.
+TWO_PLACEHOLDER_RULE = """rule [
+  ruleID "two placeholders"
+  context [
+    node [ id 1 label "[{CONH2}]" ]
+    node [ id 2 label "C" ]
+    node [ id 3 label "[{Ribo-ADP}]" ]
+    edge [ source 1 target 2 label "-" ]
+  ]
+  left [ node [ id 4 label "O" ] edge [ source 2 target 4 label "=" ] ]
+  right [ node [ id 4 label "O" ] edge [ source 2 target 4 label "-" ]
+          edge [ source 3 target 4 label "-" ] ]
+]
+"""
+PINNED_RULE = json.loads(
+    (Path(__file__).resolve().parent / "data" / "smiles_corpus.json").read_text())["rule"]
+
+
+def rule_elements(rule) -> dict:
+    """The nodes and edges of a rule, as JSON data."""
+    return {"nodes": [[n.id, n.left, n.right] for n in rule.nodes],
+            "edges": [[e.source, e.target, e.left, e.right] for e in rule.edges]}
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +156,13 @@ class TestRulePlaceholders:
         assert len(rule.nodes) == 2 + 2  # proxy kept, two fragment atoms added
         # The spliced fragment arrives as context: same label on both sides.
         assert all(nd.left == nd.right for nd in rule.nodes)
+
+    def test_two_context_placeholders_are_pinned(self, nadh_registry):
+        rule = parse_gml_rule(TWO_PLACEHOLDER_RULE, groups=nadh_registry)
+        assert rule_elements(rule) == PINNED_RULE
+        # Each proxy keeps its placeholder's id; the other 2 + 34 fragment
+        # atoms follow in declaration order, with ids above the rule's 4.
+        assert [n.id for n in rule.nodes] == list(range(1, 41))
 
     def test_changing_placeholder_rejected(self, nadh_registry):
         with pytest.raises(ChemError):
