@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..match import Pattern, find_monomorphisms
 from .molecule import ChemError, Molecule
+from .smiles import parse_molecule
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,6 @@ def load_energy_model(text: str) -> EnergyModel:
     Fragments are matched as drawn — hydrogens are not filled in, so a
     pattern like ``C=O`` matches any carbonyl regardless of substitution.
     """
-    from .smiles import parse_molecule
-
     model = EnergyModel()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -9,6 +9,7 @@ over the placeholder's bonds.  Registries load from a GML-like file of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ..core import (GmlError, LabeledGraph, TokenStream, _graph_from_declarations,
@@ -22,7 +23,6 @@ class Group:
     name: str
     graph: LabeledGraph  # node ids 0..n-1; labels are atom labels
     proxy: int           # node id substituted for the placeholder
-    explicit_h: dict[int, int] | None = None
 
     def __post_init__(self):
         if not (0 <= self.proxy < self.graph.node_count):
@@ -70,35 +70,26 @@ class GroupRegistry:
     def names(self) -> list[str]:
         return sorted(self._groups)
 
-    # -- expansion hooks -----------------------------------------------
+    def splice(self, placeholders: dict[int, str], first_id: int
+               ) -> tuple[list[tuple[int, str]], list[tuple[int, int, str]]]:
+        """The atoms and bonds of the groups that replace placeholder nodes.
 
-    def expand_molecule_elements(self, labels, edges, explicit_h, placeholders):
-        """Replace placeholder nodes in a raw (labels, edges) molecule
-        description; used by the SMILES parser.
-
-        ``placeholders`` maps node index → group name.  The placeholder
-        node keeps its index and becomes the proxy atom; the rest of the
-        fragment is appended with fresh indices.
+        ``placeholders`` maps node id to group name, in declaration order.
+        Each proxy atom keeps its placeholder's id; the other fragment
+        atoms take fresh ids from ``first_id`` up, group by group in
+        fragment order.  Returns the atoms as ``(id, label)`` and the
+        fragment bonds as ``(u, v, label)``; the placeholder's own bonds
+        pass to the proxy with its id.
         """
-        labels = list(labels)
-        edges = list(edges)
-        explicit_h = dict(explicit_h)
-        for idx in sorted(placeholders):
-            group = self.get(placeholders[idx])
+        atoms, bonds = [], []
+        fresh = itertools.count(first_id)
+        for nid, name in placeholders.items():
+            group = self.get(name)
             gg = group.graph
-            mapping = {group.proxy: idx}
-            for v in gg.nodes():
-                if v != group.proxy:
-                    mapping[v] = len(labels)
-                    labels.append(gg.label(v))
-            labels[idx] = gg.label(group.proxy)
-            explicit_h.pop(idx, None)
-            for u, v, lbl in gg.edges():
-                edges.append((mapping[u], mapping[v], lbl))
-            if group.explicit_h:
-                for v, h in group.explicit_h.items():
-                    explicit_h[mapping[v]] = h
-        return labels, edges, explicit_h
+            ids = [nid if v == group.proxy else next(fresh) for v in gg.nodes()]
+            atoms += [(ids[v], gg.label(v)) for v in gg.nodes()]
+            bonds += [(ids[u], ids[v], lbl) for u, v, lbl in gg.edges()]
+        return atoms, bonds
 
     def expand_rule_elements(self, nodes, edges):
         """Replace placeholder nodes in a rule declaration; used by the
@@ -109,10 +100,8 @@ class GroupRegistry:
         context nodes (same label both sides); the fragment is spliced in
         as context with fresh ids.
         """
-        nodes = list(nodes)
-        edges = list(edges)
-        next_id = max((nid for nid, _, _ in nodes), default=0) + 1
-        for i, (nid, left, right) in enumerate(list(nodes)):
+        placeholders = {}
+        for nid, left, right in nodes:
             name = _placeholder_name(left or "") or _placeholder_name(right or "")
             if name is None:
                 continue
@@ -120,19 +109,15 @@ class GroupRegistry:
                 raise ChemError(
                     f"group placeholder [{{{name}}}] on node {nid} must be a "
                     "context node (identical labels on both sides)")
-            group = self.get(name)
-            gg = group.graph
-            mapping = {group.proxy: nid}
-            proxy_label = gg.label(group.proxy)
-            nodes[i] = (nid, proxy_label, proxy_label)
-            for v in gg.nodes():
-                if v != group.proxy:
-                    mapping[v] = next_id
-                    nodes.append((next_id, gg.label(v), gg.label(v)))
-                    next_id += 1
-            for u, v, lbl in gg.edges():
-                edges.append((mapping[u], mapping[v], lbl, lbl))
-        return nodes, edges
+            self.get(name)  # an unknown name comes before a later node's error
+            placeholders[nid] = name
+        first_id = max((nid for nid, _, _ in nodes), default=0) + 1
+        atoms, bonds = self.splice(placeholders, first_id)
+        label = dict(atoms)
+        nodes = [(nid, label[nid], label[nid]) if nid in placeholders else (nid, left, right)
+                 for nid, left, right in nodes]
+        nodes += [(v, lbl, lbl) for v, lbl in atoms if v >= first_id]
+        return nodes, list(edges) + [(u, v, lbl, lbl) for u, v, lbl in bonds]
 
 
 def parse_gml_groups(text: str) -> GroupRegistry:

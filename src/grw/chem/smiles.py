@@ -7,6 +7,12 @@ bond symbols ``- = # :``, dot-separated components, and molecular-group
 placeholders ``[{NAME}]`` expanded through a registry.  Stereochemistry
 and isotopes are out of scope.
 
+Reading is one regular-expression scan: each match is a bond symbol, a
+branch, a dot, a ring-closure number, a bracket atom or a bare atom, and
+any other character is an error at its own position.  Group names are
+looked up once the whole text is read; an unknown one is a
+:class:`SmilesError` at its placeholder.
+
 Bracket atoms carry a node label's text (:mod:`grw.chem.atoms`) with the
 hydrogen count after the element symbol: reading decodes the charge and
 class with :func:`parse_atom_label`, writing renders them with
@@ -28,13 +34,13 @@ setting.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from ..core import LabeledGraph
+from ..core import LabeledGraph, connected_components
 from ..match import canonical_form
-from .atoms import (AtomLabel, ORGANIC_SUBSET, implicit_hydrogens, parse_atom_label,
-                    ELEMENTS)
+from .atoms import (AROMATIC_ELEMENTS, AtomLabel, ORGANIC_SUBSET, implicit_hydrogens,
+                    parse_atom_label, ELEMENTS)
 from .aromatic import perceive_aromaticity
+from .groups import _placeholder_name
 from .molecule import ChemError, Molecule, _not_an_atom, _tally, sanity_check
 
 
@@ -44,37 +50,34 @@ class SmilesError(ChemError):
         self.position = position
 
 
+# One match per token: a bond symbol, a branch, a dot, a ring-closure
+# number, a bracket atom or a bare atom; any other character is ``bad``.
+_TOKEN_RE = re.compile(r"""
+    (?P<bond>[-=\#:]) | (?P<open>\() | (?P<close>\)) | (?P<dot>\.)
+  | (?P<ring>[0-9]|%[0-9]{2}) | (?P<bracket>\[[^]]*\])
+  | (?P<atom>Cl|Br|[BCNOPSFIbcnops]) | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 # Symbol, hydrogen count, then charge and class text for parse_atom_label.
 _BRACKET_RE = re.compile(r"([A-Z][a-z]?|[bcnops])(?:H([0-9]*))?([-+:].*)?")
-_TWO_LETTER = ("Cl", "Br")
-_AROMATIC_ORGANIC = "bcnops"
-_BOND_CHARS = "-=#:"
-
-
-@dataclass
-class _Atom:
-    label: str
-    aromatic: bool
-    explicit_h: int | None  # None: infer; int: bracket-declared
-    position: int
-    group: str | None = None  # set for [{NAME}] placeholders
-
-
-def _resolve_bond(a: _Atom, b: _Atom, sym: str | None) -> str:
-    if sym is not None:
-        return sym
-    return ":" if (a.aromatic and b.aromatic) else "-"
+# The bare atoms: the organic subset, and the aromatic elements in lowercase.
+_BARE_ATOMS = {**{sym: AtomLabel(sym) for sym in ORGANIC_SUBSET},
+               **{sym.lower(): AtomLabel(sym, aromatic=True) for sym in AROMATIC_ELEMENTS}}
 
 
 def parse_smiles(text: str, groups=None) -> list[Molecule]:
     """Parse a SMILES string into molecules, one per dot component.
 
     Hydrogens are *not* filled here; bracket hydrogen counts are recorded
-    on the returned molecules for :func:`fill_hydrogens` to honor.
+    on the returned molecules for :func:`fill_hydrogens` to honor.  Group
+    placeholders are looked up in ``groups`` once the whole text is read.
     """
-    atoms: list[_Atom] = []
+    labels: list[str] = []
+    aromatic: list[bool] = []
+    explicit: dict[int, int] = {}
+    placeholders: dict[int, str] = {}  # atom -> group name
+    opened: dict[int, int] = {}  # placeholder atom -> position of its '['
     bonds: dict[tuple[int, int], str] = {}
-    stack: list[int | None] = []
+    stack: list[int] = []
     prev: int | None = None
     pending: str | None = None
     ring: dict[int, tuple[int, str | None, int]] = {}
@@ -85,110 +88,77 @@ def parse_smiles(text: str, groups=None) -> list[Molecule]:
         key = (a, b) if a < b else (b, a)
         if key in bonds:
             raise SmilesError("duplicate bond between two atoms", pos)
-        bonds[key] = _resolve_bond(atoms[a], atoms[b], sym)
+        bonds[key] = sym or (":" if aromatic[a] and aromatic[b] else "-")
 
-    def add_atom(atom: _Atom) -> None:
-        nonlocal prev, pending
-        atoms.append(atom)
-        idx = len(atoms) - 1
-        if prev is not None:
-            add_bond(prev, idx, pending, atom.position)
-        elif pending is not None:
-            raise SmilesError("bond symbol with no preceding atom", atom.position)
-        prev = idx
-        pending = None
-
-    def ring_bond(num: int, pos: int) -> None:
-        nonlocal pending
-        if prev is None:
-            raise SmilesError("ring-closure digit with no preceding atom", pos)
-        if num in ring:
-            a, sym_open, _ = ring.pop(num)
-            sym = pending
-            if sym_open is not None and sym is not None and sym_open != sym:
-                raise SmilesError(f"ring bond {num} has conflicting bond symbols", pos)
-            add_bond(a, prev, sym_open if sym_open is not None else sym, pos)
-        else:
-            ring[num] = (prev, pending, pos)
-        pending = None
-
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _BOND_CHARS:
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bond":
             if pending is not None:
-                raise SmilesError("two bond symbols in a row", i)
-            pending = ch
-            i += 1
-        elif ch == "(":
+                raise SmilesError("two bond symbols in a row", pos)
+            pending = value
+        elif kind == "open":
             if prev is None:
-                raise SmilesError("branch opens with no preceding atom", i)
+                raise SmilesError("branch opens with no preceding atom", pos)
             stack.append(prev)
-            i += 1
-        elif ch == ")":
+        elif kind == "close":
             if not stack:
-                raise SmilesError("unbalanced ')'", i)
+                raise SmilesError("unbalanced ')'", pos)
             if pending is not None:
-                raise SmilesError("dangling bond symbol before ')'", i)
+                raise SmilesError("dangling bond symbol before ')'", pos)
             prev = stack.pop()
-            i += 1
-        elif ch == ".":
+        elif kind == "dot":
             if stack:
-                raise SmilesError("'.' inside a branch", i)
+                raise SmilesError("'.' inside a branch", pos)
             if pending is not None:
-                raise SmilesError("dangling bond symbol before '.'", i)
+                raise SmilesError("dangling bond symbol before '.'", pos)
             prev = None
-            i += 1
-        elif "0" <= ch <= "9":
-            ring_bond(int(ch), i)
-            i += 1
-        elif ch == "%":
-            if not re.fullmatch(r"[0-9]{2}", text[i + 1:i + 3]):
-                raise SmilesError("'%' must be followed by two digits", i)
-            ring_bond(int(text[i + 1:i + 3]), i)
-            i += 3
-        elif ch == "[":
-            j = text.find("]", i)
-            if j < 0:
-                raise SmilesError("unterminated bracket atom", i)
-            inner = text[i + 1:j]
-            if inner.startswith("{") and inner.endswith("}"):
-                name = inner[1:-1]
-                if not re.fullmatch(r"[A-Za-z0-9_-]+", name or ""):
-                    raise SmilesError(f"invalid group name {name!r}", i)
-                add_atom(_Atom(label=f"[{{{name}}}]", aromatic=False,
-                               explicit_h=0, position=i, group=name))
-                i = j + 1
-                continue
-            m = _BRACKET_RE.fullmatch(inner)
-            if not m:
-                raise SmilesError(f"malformed bracket atom [{inner}]", i)
-            sym, hcount, rest = m.groups()
-            if sym.capitalize() not in ELEMENTS:
-                raise SmilesError(f"unknown element {sym!r}", i)
-            atom = parse_atom_label(sym + (rest or ""))
-            if atom is None:
-                raise SmilesError(f"malformed bracket atom [{inner}]", i)
-            h = 0 if hcount is None else int(hcount or 1)
-            add_atom(_Atom(atom.render(), atom.aromatic, h, i))
-            i = j + 1
-        elif ch.isalpha() or ch == "*":
-            sym = None
-            if text[i:i + 2] in _TWO_LETTER:
-                sym = text[i:i + 2]
-            elif ch in "BCNOPSFI":
-                sym = ch
-            elif ch in _AROMATIC_ORGANIC:
-                sym = ch
-            if sym is None:
-                raise SmilesError(f"unexpected atom symbol {ch!r}", i)
-            aromatic = sym.islower()
-            element = sym.capitalize() if aromatic else sym
-            add_atom(_Atom(AtomLabel(element, aromatic=aromatic).render(),
-                           aromatic, None, i))
-            i += len(sym)
-        else:
-            raise SmilesError(f"unexpected character {ch!r}", i)
+        elif kind == "ring":
+            num = int(value.lstrip("%"))
+            if prev is None:
+                raise SmilesError("ring-closure digit with no preceding atom", pos)
+            if num in ring:
+                a, sym_open, _ = ring.pop(num)
+                if sym_open is not None and pending is not None and sym_open != pending:
+                    raise SmilesError(f"ring bond {num} has conflicting bond symbols", pos)
+                add_bond(a, prev, sym_open or pending, pos)
+            else:
+                ring[num] = (prev, pending, pos)
+            pending = None
+        elif kind == "bad":
+            if value == "%":
+                raise SmilesError("'%' must be followed by two digits", pos)
+            if value == "[":
+                raise SmilesError("unterminated bracket atom", pos)
+            if value.isalpha() or value == "*":
+                raise SmilesError(f"unexpected atom symbol {value!r}", pos)
+            raise SmilesError(f"unexpected character {value!r}", pos)
+        else:  # an atom: bare, in brackets, or a group placeholder
+            v = len(labels)
+            if kind == "atom":
+                atom = _BARE_ATOMS[value]
+            elif (name := _placeholder_name(value)) is not None:
+                if not re.fullmatch(r"[A-Za-z0-9_-]+", name):
+                    raise SmilesError(f"invalid group name {name!r}", pos)
+                placeholders[v], opened[v] = name, pos
+                atom = None
+            else:
+                bm = _BRACKET_RE.fullmatch(value[1:-1])
+                if not bm:
+                    raise SmilesError(f"malformed bracket atom {value}", pos)
+                sym, hcount, rest = bm.groups()
+                if sym.capitalize() not in ELEMENTS:
+                    raise SmilesError(f"unknown element {sym!r}", pos)
+                atom = parse_atom_label(sym + (rest or ""))
+                if atom is None:
+                    raise SmilesError(f"malformed bracket atom {value}", pos)
+                explicit[v] = 0 if hcount is None else int(hcount or 1)
+            labels.append(value if atom is None else atom.render())
+            aromatic.append(atom is not None and atom.aromatic)
+            if prev is not None:
+                add_bond(prev, v, pending, pos)
+            elif pending is not None:
+                raise SmilesError("bond symbol with no preceding atom", pos)
+            prev, pending = v, None
 
     if stack:
         raise SmilesError("unbalanced '('", len(text))
@@ -197,27 +167,27 @@ def parse_smiles(text: str, groups=None) -> list[Molecule]:
     if ring:
         num, (_, _, pos) = sorted(ring.items())[0]
         raise SmilesError(f"unclosed ring bond {num}", pos)
-    if not atoms:
+    if not labels:
         raise SmilesError("empty SMILES", 0)
 
-    labels = [a.label for a in atoms]
-    explicit = {i: a.explicit_h for i, a in enumerate(atoms) if a.explicit_h is not None}
     edge_list = [(u, v, lbl) for (u, v), lbl in bonds.items()]
-
-    placeholders = [i for i, a in enumerate(atoms) if a.group is not None]
-    if placeholders:
+    for v, name in placeholders.items():
         if groups is None:
-            name = atoms[placeholders[0]].group
-            raise SmilesError(f"group placeholder [{{{name}}}] without a registry",
-                              atoms[placeholders[0]].position)
-        labels, edge_list, explicit = groups.expand_molecule_elements(
-            labels, edge_list, explicit, {i: atoms[i].group for i in placeholders})
+            raise SmilesError(f"group placeholder [{{{name}}}] without a registry", opened[v])
+        if name not in groups:
+            raise SmilesError(f"unknown group {name!r}", opened[v])
+    if placeholders:
+        n = len(labels)
+        atoms, fragment_bonds = groups.splice(placeholders, n)
+        for v, label in atoms:
+            if v < n:
+                labels[v] = label
+            else:
+                labels.append(label)
+        edge_list += fragment_bonds
 
-    graph = LabeledGraph.from_parts(labels, edge_list)
-
-    from ..core import connected_components
     out = []
-    for comp, members in connected_components(graph):
+    for comp, members in connected_components(LabeledGraph.from_parts(labels, edge_list)):
         eh = {new: explicit[old] for new, old in enumerate(members) if old in explicit}
         out.append(Molecule(comp, eh, filled=False))
     return out

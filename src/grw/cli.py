@@ -20,9 +20,9 @@ from .core import GmlError, disjoint_union, parse_gml_graph, \
 from .match import canonical_key
 from .rules import RuleGraph, apply_all, explore, parse_gml_rule
 from . import demos, network
-from .chem import (ChemError, GroupRegistry, Molecule, accept_product, check_chem_rule,
-                   fill_hydrogens, load_energy_model, parse_gml_groups, parse_smiles,
-                   RateParams)
+from .chem import (ChemError, GroupRegistry, Molecule, SmilesError, accept_product,
+                   all_cycles, check_chem_rule, fill_hydrogens, load_energy_model,
+                   parse_gml_groups, parse_smiles, RateParams)
 
 EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN = 0, 1, 2, 3
 
@@ -57,6 +57,12 @@ def _load_groups(path: str | None) -> GroupRegistry | None:
     return parse_gml_groups(_read_text(path))
 
 
+def _read_smiles(text: str, groups: GroupRegistry | None) -> list[tuple[str, Molecule]]:
+    """The molecules of a SMILES argument, filled, then checked and named as
+    a rule's product is: ``(canonical SMILES, molecule)`` each."""
+    return [accept_product(fill_hydrogens(m)) for m in parse_smiles(text, groups)]
+
+
 def _rule_paths(specs: list[str]) -> list[Path]:
     paths: list[Path] = []
     for spec in specs:
@@ -89,9 +95,7 @@ def _load_chem_rules(specs: list[str]) -> list[RuleGraph]:
 def _cmd_canon(args) -> int:
     groups = _load_groups(args.groups)
     for text in args.smiles:
-        # Inputs are filled, then checked and named as a rule's product is.
-        canons = [accept_product(fill_hydrogens(m))[0] for m in parse_smiles(text, groups)]
-        print(".".join(sorted(canons)))
+        print(".".join(sorted(name for name, _ in _read_smiles(text, groups))))
     return EXIT_OK
 
 
@@ -102,8 +106,7 @@ def _cmd_apply(args) -> int:
         if violations:
             raise DomainError("; ".join(str(v) for v in violations))
         groups = _load_groups(args.groups)
-        mols = [accept_product(fill_hydrogens(m))[1] for m in parse_smiles(args.smiles, groups)]
-        host, _ = disjoint_union([m.graph for m in mols])
+        host, _ = disjoint_union([m.graph for _, m in _read_smiles(args.smiles, groups)])
     else:
         host = parse_gml_graph(_read_text(args.graph))
 
@@ -127,9 +130,7 @@ def _cmd_apply(args) -> int:
 def _cmd_toychem(args) -> int:
     rules = _load_chem_rules(args.rules)
     groups = _load_groups(args.groups)
-    seeds = []
-    for text in args.smiles:
-        seeds.extend(accept_product(fill_hydrogens(m))[1] for m in parse_smiles(text, groups))
+    seeds = [m for text in args.smiles for _, m in _read_smiles(text, groups)]
     model = load_energy_model(_read_text(args.energy)) if args.energy else None
     try:
         cfg = network.ExpansionConfig(
@@ -153,7 +154,6 @@ def _cmd_toychem(args) -> int:
 
 def _cmd_rings(args) -> int:
     g = parse_gml_graph(_read_text(args.graph))
-    from .chem.rings import all_cycles
     for cycle in all_cycles(g, args.max):
         print(" ".join(str(g.ext_ids[v]) for v in cycle))
     return EXIT_OK
@@ -296,15 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GmlError,) as exc:
+    except (GmlError, SmilesError) as exc:  # a SmilesError is a ChemError too
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ChemError as exc:
-        # SMILES syntax problems are parse errors; the rest are domain issues.
-        from .chem import SmilesError
-        if isinstance(exc, SmilesError):
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except DomainError as exc:

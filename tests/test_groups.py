@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from grw import GmlError, parse_gml_rule
-from grw.chem import (ChemError, Group, GroupRegistry, canonical_smiles,
+from grw.chem import (ChemError, Group, GroupRegistry, SmilesError, canonical_smiles,
                       fill_hydrogens, parse_gml_groups, parse_molecule,
                       parse_smiles, perceive_aromaticity, sanity_check)
+from grw.cli import EXIT_PARSE, assets_dir, main
 
 from conftest import asset_text, prep
 from test_canonical import NADH, NADP
@@ -108,8 +109,24 @@ class TestSmilesPlaceholders:
             parse_smiles("[{CONH2}]C")
 
     def test_unknown_name_rejected(self, nadh_registry):
-        with pytest.raises(ChemError):
+        with pytest.raises(SmilesError) as err:
             parse_smiles("[{XYZ}]C", groups=nadh_registry)
+        assert str(err.value) == "unknown group 'XYZ' (position 0)"
+
+    @pytest.mark.parametrize("smiles, message", [
+        ("C[{CONH2}].[{XYZ}][{ABC}]", "unknown group 'XYZ' (position 11)"),
+        # The whole text is scanned before any group is looked up.
+        ("[{XYZ}]C(", "unbalanced '(' (position 9)"),
+    ])
+    def test_first_error_is_reported(self, nadh_registry, smiles, message):
+        with pytest.raises(SmilesError) as err:
+            parse_smiles(smiles, groups=nadh_registry)
+        assert str(err.value) == message
+
+    def test_unknown_name_is_a_parse_error_in_canon(self, capsys):
+        code = main(["canon", "[{XYZ}]C", "--groups", str(assets_dir() / "nadh_groups.gml")])
+        assert (code, capsys.readouterr().err) == \
+            (EXIT_PARSE, "parse error: unknown group 'XYZ' (position 0)\n")
 
     def test_proxy_inherits_placeholder_bonds(self, nadh_registry):
         (m,) = parse_smiles("[{CONH2}]C", groups=nadh_registry)
@@ -163,6 +180,16 @@ class TestRulePlaceholders:
         # Each proxy keeps its placeholder's id; the other 2 + 34 fragment
         # atoms follow in declaration order, with ids above the rule's 4.
         assert [n.id for n in rule.nodes] == list(range(1, 41))
+
+    def test_unknown_group_comes_before_a_later_context_error(self, nadh_registry):
+        with pytest.raises(ChemError, match=r"^unknown group 'XYZ'$"):
+            parse_gml_rule("""
+                rule [
+                  ruleID "bad"
+                  context [ node [ id 1 label "[{XYZ}]" ] ]
+                  left [ node [ id 2 label "[{CONH2}]" ] ]
+                  right [ node [ id 2 label "C" ] ]
+                ]""", groups=nadh_registry)
 
     def test_changing_placeholder_rejected(self, nadh_registry):
         with pytest.raises(ChemError):

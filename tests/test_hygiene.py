@@ -9,6 +9,8 @@ it, so that no other module decides how a bond label counts toward
 valence.
 No function calls itself by name, so that no search depends on the
 interpreter's recursion limit.
+Every import is at module level, so that a module's dependencies are
+read in one place and an import cycle shows when the package loads.
 Importing the package again does not keep the old copy alive.
 """
 
@@ -143,6 +145,29 @@ def test_checker_flags_a_self_call():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_calls_itself(module):
     assert self_calls((SRC / module).read_text()) == []
+
+
+def nested_imports(source: str) -> list[str]:
+    """Every ``import`` statement that is not at module level."""
+    tree = ast.parse(source)
+    top = set(tree.body)
+    found = sorted((n.lineno, ast.unparse(n)) for n in ast.walk(tree)
+                   if isinstance(n, (ast.Import, ast.ImportFrom)) and n not in top)
+    return [f"{text} (line {line})" for line, text in found]
+
+
+def test_checker_flags_a_nested_import():
+    source = ("import os\nfrom a import b\n"
+              "def f():\n    import sys\n    return sys\n"
+              "class C:\n    from .x import y\n"
+              "if os:\n    import json\n")
+    assert nested_imports(source) == ["import sys (line 4)", "from .x import y (line 7)",
+                                      "import json (line 9)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_at_module_level(module):
+    assert nested_imports((SRC / module).read_text()) == []
 
 
 REIMPORT = """
