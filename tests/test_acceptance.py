@@ -7,6 +7,7 @@ as the acceptance record.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from random import Random
@@ -20,7 +21,7 @@ from grw import (ApplicationError, LabeledGraph, NoEdge, Pattern, RuleGraph,
 from grw.chem import (Molecule, RateParams, all_cycles, canonical_smiles,
                       check_chem_rule, fill_hydrogens, parse_smiles,
                       perceive_aromaticity, perceive_rings, reaction_rate)
-from grw.network import ExpansionConfig, expand
+from grw.network import ExpansionConfig, expand, to_dot, to_gml
 from grw.demos import (alive_cells, claw_graph, grid_graph, life_step,
                        render_sudoku, solve_sudoku, sudoku_graph,
                        triangle_graph)
@@ -43,9 +44,13 @@ def test_criterion_01_formose_growth(formose_net5):
 
 @pytest.mark.slow
 def test_criterion_01_formose_sixth_iteration(formose_net6):
-    """Iteration 6 reaches 10572 molecules within ten minutes."""
+    """Iteration 6 reaches 10572 molecules within ten minutes, and its
+    DOT and GML exports keep their pinned digest."""
     assert formose_net6.stats()[6][1] == 10572
     assert sum(formose_net6.elapsed.values()) <= 600.0
+    digest = hashlib.sha256((to_dot(formose_net6) + to_gml(formose_net6)).encode())
+    assert digest.hexdigest() == \
+        "698fded552a2f9dae32d1cd4ee2e81530844404ba6987be1052b3ccd8bc74554"
 
 
 def test_criterion_02_diels_alder_products(diels_alder_rule):

@@ -87,6 +87,24 @@ class TestFrozenExamples:
             canonical_smiles(m)
 
 
+class TestRingClosureDigits:
+    """Two-digit closures (``%nn``) and the reuse of a freed digit, pinned
+    with the strings written before the writer kept its free digits in a
+    heap."""
+
+    @pytest.mark.parametrize("smiles, want", [
+        ("C1CC2CC3CC4CC5CC6CC7CC8CC9CC%10CC%11CC1C%11C%10C9C8C7C6C5C4C3C2",
+         "C1CC2CC3CC4CC5CC6CC7CC8CC9CC%10CC%11CC1CC%11C%10C9C8C7C6C5C4C23"),
+        ("C12C3C4C5C1C6C7C8C2C9C3C%10C4C%11C5C6C%12C7C%13C8C9C%10C%11C%12C%13",
+         "C1C2C3C4C1C1C5C6C2C2C3C3C4C4C1C1C5C5C6C2C2C3C4C1C52"),
+    ])
+    def test_value_under_permutation(self, smiles, want):
+        m = prep(smiles)
+        rng = Random(len(smiles))
+        assert [canonical_smiles(x) for x in (m, permuted(m, rng), permuted(m, rng))] \
+            == [want] * 3
+
+
 def union(*smiles: str) -> Molecule:
     """One filled molecule holding the given components side by side."""
     graph, _ = disjoint_union([fill_hydrogens(parse_smiles(s)[0]).graph for s in smiles])

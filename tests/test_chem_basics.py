@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
-
 import pytest
 
+from grw import LabeledGraph, disjoint_union
 from grw.chem import (AROMATIC_ELEMENTS, ORGANIC_SUBSET, ChemError, Molecule,
-                      SmilesError, allowed_valences, fill_hydrogens,
-                      implicit_hydrogens, molecular_formula, parse_atom_label,
-                      parse_molecule, parse_smiles, sanity_check)
+                      SmilesError, accept_product, allowed_valences, canonical_smiles,
+                      fill_hydrogens, implicit_hydrogens, molecular_formula,
+                      parse_atom_label, parse_molecule, parse_smiles,
+                      perceive_aromaticity, sanity_check)
 
 import chem_corpus
 import smiles_corpus
@@ -290,3 +291,53 @@ class TestChemCorpus:
             for edit, want in entry["cases"]:
                 got = chem_corpus.outcome(chem_corpus.apply_edit(g, edit))
                 assert got == want, (entry["base"], edit)
+
+
+def stepwise(m: Molecule) -> tuple[str, Molecule]:
+    """``accept_product`` spelled out through the public functions."""
+    p = perceive_aromaticity(m)
+    issues = sanity_check(p)
+    if issues:
+        raise ChemError("; ".join(v.message for v in issues))
+    return canonical_smiles(p), p
+
+
+def result(accept, m: Molecule):
+    """What ``accept`` makes of ``m``: the name and the molecule's parts,
+    or the exception's class and message."""
+    try:
+        name, p = accept(m)
+    except Exception as exc:  # the error is the result
+        return type(exc), str(exc)
+    return name, p.graph.node_labels, list(p.graph.edges()), p.explicit_h, p.filled
+
+
+class TestAcceptProduct:
+    """``accept_product`` answers as perception, the sanity check and
+    canonical SMILES do one after another, and reads a product once."""
+
+    ODD = {
+        "disconnected": Molecule(disjoint_union([prep("OCC=O").graph, prep("C=O").graph])[0],
+                                 {}, filled=True),
+        "unfilled": Molecule(prep("OCC=O").graph, {}, filled=False),
+        "over-valent": Molecule(LabeledGraph.from_parts(
+            ["C"] + ["H"] * 5, [(0, h, "-") for h in range(1, 6)]), {}, filled=True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ODD))
+    def test_odd_molecule(self, case):
+        m = self.ODD[case]
+        assert result(accept_product, m) == result(stepwise, m)
+        assert isinstance(result(stepwise, m)[0], type)
+
+    def test_chem_corpus(self):
+        for entry in CHEM_CORPUS:
+            g = chem_corpus.base_graph(entry["base"])
+            for edit, _ in entry["cases"]:
+                m = Molecule(chem_corpus.apply_edit(g, edit), {}, filled=True)
+                assert result(accept_product, m) == result(stepwise, m), (entry["base"], edit)
+
+    def test_formose_products(self, formose_net5):
+        for mol, _ in formose_net5.molecules.values():
+            m = Molecule(mol.graph, {}, filled=True)
+            assert result(accept_product, m) == result(stepwise, m)
