@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import LabeledGraph, _edited, connected_components
+from ..core import LabeledGraph, _edited
 from .atoms import (AtomLabel, BOND_ORDERS, BOND_SYMBOLS, allowed_valences,
                     implicit_hydrogens, parse_atom_label)
 
@@ -129,18 +129,32 @@ def sanity_check(m: Molecule) -> list[Violation]:
     an alternating ring allows (with or without one ring double bond), so
     both pyrrole-type and pyridine-type centers pass.
     """
+    return _sanity(m, _tally(m))
+
+
+def _sanity(m: Molecule, tally) -> list[Violation]:
+    """The body of :func:`sanity_check`, reading ``tally = _tally(m)``."""
     out: list[Violation] = []
     g = m.graph
     if g.node_count == 0:
         return [Violation("empty", None, "molecule has no atoms")]
 
-    # Components come ordered by their smallest atom: the first holds atom 0.
-    if len(connected := connected_components(g)[0][1]) != g.node_count:
+    # Count the atoms reachable from atom 0.
+    seen = [False] * g.node_count
+    seen[0] = True
+    todo, reached = [0], 1
+    while todo:
+        for u in g.neighbors(todo.pop()):
+            if not seen[u]:
+                seen[u] = True
+                reached += 1
+                todo.append(u)
+    if reached != g.node_count:
         out.append(Violation("disconnected", None,
-                             f"molecule is not connected ({len(connected)} of "
+                             f"molecule is not connected ({reached} of "
                              f"{g.node_count} atoms reachable from atom 0)"))
 
-    atoms, _, _, odd_edges = _tally(m)
+    atoms, _, _, odd_edges = tally
     for u, v, lbl in odd_edges:
         out.append(Violation("bond-label", u,
                              f"edge ({u}, {v}) label {lbl!r} is not a bond symbol"))

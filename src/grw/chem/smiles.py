@@ -34,6 +34,7 @@ setting.
 from __future__ import annotations
 
 import re
+from heapq import heappop, heappush
 
 from ..core import LabeledGraph, connected_components
 from ..match import canonical_form
@@ -41,7 +42,7 @@ from .atoms import (AROMATIC_ELEMENTS, AtomLabel, ORGANIC_SUBSET, implicit_hydro
                     parse_atom_label, ELEMENTS)
 from .aromatic import perceive_aromaticity
 from .groups import _placeholder_name
-from .molecule import ChemError, Molecule, _not_an_atom, _tally, sanity_check
+from .molecule import ChemError, Molecule, _not_an_atom, _sanity, _tally
 
 
 class SmilesError(ChemError):
@@ -204,6 +205,8 @@ def parse_molecule(text: str, groups=None) -> Molecule:
 # -- canonical form ----------------------------------------------------------
 
 _BOND_RANK = {"-": 0, "=": 1, "#": 2, ":": 3}
+# Ring-closure token of each digit 1-99.
+_RING_DIGITS = [""] + [str(d) if d < 10 else f"%{d}" for d in range(1, 100)]
 
 
 def _initial_colors(heavy: list[tuple], adj: list[dict[int, str]]) -> list[int]:
@@ -235,34 +238,6 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
     n = len(tokens)
     root = rank.index(0)
 
-    # Depth-first spanning tree, children in rank order.  A bond to an
-    # atom visited earlier that is not the parent closes a ring, opened
-    # at that earlier atom.
-    parent: dict[int, int | None] = {root: None}
-    preindex = {root: 0}
-    tree_children, back_open, back_close = ([[] for _ in range(n)] for _ in range(3))
-    walk = [(root, iter(sorted(adj[root], key=rank.__getitem__)))]
-    while walk:
-        v, pending = walk[-1]
-        for u in pending:
-            if u not in preindex:
-                preindex[u] = len(preindex)
-                parent[u] = v
-                tree_children[v].append(u)
-                walk.append((u, iter(sorted(adj[u], key=rank.__getitem__))))
-                break
-            if preindex[u] < preindex[v] and u != parent[v]:
-                back_open[u].append(v)
-                back_close[v].append(u)
-        else:
-            walk.pop()
-    if len(preindex) < n:
-        raise ChemError("canonical_smiles requires a connected molecule")
-
-    digit_of: dict[tuple[int, int], int] = {}
-    free: list[int] = list(range(1, 100))
-    out: list[str] = []
-
     def bond_str(a: int, b: int) -> str:
         lbl = adj[a][b]
         if lbl == "-":
@@ -271,32 +246,62 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
             return "" if (aromatic[a] and aromatic[b]) else ":"
         return lbl
 
-    def digit_token(d: int) -> str:
-        return str(d) if d < 10 else f"%{d:02d}"
+    # Depth-first spanning tree, children in rank order; atoms are written
+    # in the order it visits them.  A bond to an atom visited earlier that
+    # is not the parent closes a ring, opened at that earlier atom.  Each
+    # atom is preceded by its bond from its parent, and a child that has a
+    # later sibling opens a branch, closed after the last atom under it.
+    parent = [-1] * n
+    preindex = [-1] * n  # -1 until visited
+    preindex[root] = 0
+    order = [root]
+    lead = [""] * n
+    closes = [0] * n  # the branches closed after each atom
+    last_child = [-1] * n
+    subtree_end = [0] * n  # the last atom visited under each atom
+    back_open, back_close = [[] for _ in range(n)], [[] for _ in range(n)]
+    walk = [(root, iter(sorted(adj[root], key=rank.__getitem__)))]
+    while walk:
+        v, pending = walk[-1]
+        for u in pending:
+            if preindex[u] < 0:
+                preindex[u] = len(order)
+                order.append(u)
+                parent[u] = v
+                lead[u] = bond_str(v, u)
+                if (w := last_child[v]) >= 0:
+                    lead[w] = "(" + lead[w]
+                    closes[subtree_end[w]] += 1
+                last_child[v] = u
+                walk.append((u, iter(sorted(adj[u], key=rank.__getitem__))))
+                break
+            if preindex[u] < preindex[v] and u != parent[v]:
+                back_open[u].append(v)
+                back_close[v].append(u)
+        else:
+            walk.pop()
+            subtree_end[v] = order[-1]
+    if len(order) < n:
+        raise ChemError("canonical_smiles requires a connected molecule")
 
-    # Atoms (ints) and literal text (strs), popped in output order.
-    todo: list[int | str] = [root]
-    while todo:
-        v = todo.pop()
-        if isinstance(v, str):
-            out.append(v)
-            continue
+    digit_of: dict[tuple[int, int], int] = {}
+    free = list(range(1, 100))  # a heap of the free ring digits
+    out: list[str] = []
+    for v in order:
+        out.append(lead[v])
         out.append(tokens[v])
-        for u in sorted(back_close[v], key=lambda u: preindex[u]):
-            d = digit_of.pop((u, v))
-            free.append(d)
-            free.sort()
-            out.append(digit_token(d))
-        for u in sorted(back_open[v], key=lambda u: preindex[u]):
-            d = free.pop(0)
-            digit_of[(v, u)] = d
-            out.append(bond_str(v, u) + digit_token(d))
-        kids = tree_children[v]
-        if kids:
-            # The last child continues the chain; earlier ones are branches.
-            todo += [kids[-1], bond_str(v, kids[-1])]
-            for u in reversed(kids[:-1]):
-                todo += [")", u, bond_str(v, u), "("]
+        if back_close[v]:
+            for u in sorted(back_close[v], key=preindex.__getitem__):
+                d = digit_of.pop((u, v))
+                heappush(free, d)
+                out.append(_RING_DIGITS[d])
+        if back_open[v]:
+            for u in sorted(back_open[v], key=preindex.__getitem__):
+                d = heappop(free)
+                digit_of[(v, u)] = d
+                out.append(bond_str(v, u) + _RING_DIGITS[d])
+        if closes[v]:
+            out.append(")" * closes[v])
     return "".join(out)
 
 
@@ -318,9 +323,19 @@ def canonical_smiles(m: Molecule) -> str:
     label that is no bond symbol, bonds a hydrogen by anything but ``-``,
     or is not connected.
     """
+    _require_filled(m)
+    return _canonical(m, _tally(m))
+
+
+def _require_filled(m: Molecule) -> None:
     if not m.filled:
         raise ChemError("canonical_smiles requires a hydrogen-filled molecule")
-    atoms, heavy_nodes, adj, odd_edges = _tally(m)
+
+
+def _canonical(m: Molecule, tally) -> str:
+    """The body of :func:`canonical_smiles` past its fill check, reading
+    ``tally = _tally(m)``."""
+    atoms, heavy_nodes, adj, odd_edges = tally
     if not heavy_nodes:
         if m.graph.node_count == 1:
             return "[H]"
@@ -356,9 +371,14 @@ def accept_product(m: Molecule) -> tuple[str, Molecule]:
     """Perceive, sanity-check and canonically name one connected, filled
     product of a rule; returns its canonical SMILES and the perceived
     molecule.  Raises :class:`~grw.chem.KekulizationError`, or
-    :class:`ChemError` with the sanity violations joined by ``"; "``."""
+    :class:`ChemError` with the sanity violations joined by ``"; "``.
+
+    The perceived molecule is tallied once, and the sanity check and the
+    canonical writer both read that tally."""
     mol = perceive_aromaticity(m)
-    issues = sanity_check(mol)
+    tally = _tally(mol)
+    issues = _sanity(mol, tally)
     if issues:
         raise ChemError("; ".join(v.message for v in issues))
-    return canonical_smiles(mol), mol
+    _require_filled(mol)
+    return _canonical(mol, tally), mol

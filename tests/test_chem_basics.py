@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
+
 import pytest
 
 from grw import LabeledGraph, disjoint_union
@@ -341,3 +344,26 @@ class TestAcceptProduct:
         for mol, _ in formose_net5.molecules.values():
             m = Molecule(mol.graph, {}, filled=True)
             assert result(accept_product, m) == result(stepwise, m)
+
+    def test_a_product_is_tallied_once(self, monkeypatch, formose_net5):
+        import grw.chem.molecule
+        import grw.core
+        calls = Counter()
+        for name, original in (("_tally", grw.chem.molecule._tally),
+                               ("connected_components", grw.core.connected_components)):
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "grw"]:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        product = max((mol for mol, _ in formose_net5.molecules.values()),
+                      key=lambda mol: mol.graph.node_count)
+        accept_product(Molecule(product.graph, {}, filled=True))
+        assert calls == Counter({"_tally": 1})
+        calls.clear()
+        g = LabeledGraph.from_parts(["H", "H", "Cl", "H"], [(0, 3, "-"), (1, 2, "-")])
+        assert [(p.kind, p.node, p.message) for p in sanity_check(Molecule(g, {}, True))] == [
+            ("disconnected", None,
+             "molecule is not connected (2 of 4 atoms reachable from atom 0)")]
+        assert calls == Counter({"_tally": 1})
