@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -12,6 +13,10 @@ from grw.chem import (EnergyModel, RateParams, check_chem_rule,
                       parse_molecule, reaction_rate)
 
 from conftest import asset_text, prep
+
+# SHA-256 of the sorted (canonical SMILES, demo-model energy) lines of the
+# 10 572 molecules of formose iteration 6.
+ENERGIES_6 = "995eb20ed6cdfef594c8838665ba34494929e80b99871be55743de43d4f14959"
 
 
 class TestCheckChemRule:
@@ -151,6 +156,17 @@ class TestEnergy:
         for m in molecules:
             estimate_energy(m, model)
         assert compiled == []
+
+    @pytest.mark.slow
+    def test_sixth_iteration_energies_are_pinned(self, formose_net6):
+        """The demo-model energy of every iteration-6 molecule, keyed by its
+        canonical SMILES.  Rates and ΔE follow from these energies."""
+        model = load_energy_model(asset_text("energy_demo.tsv"))
+        pairs = sorted((smiles, estimate_energy(m, model))
+                       for smiles, (m, _) in formose_net6.molecules.items())
+        assert len(pairs) == 10572
+        text = "".join(f"{smiles}\t{energy!r}\n" for smiles, energy in pairs)
+        assert hashlib.sha256(text.encode()).hexdigest() == ENERGIES_6
 
     def test_bad_model_line_rejected(self):
         from grw.chem import ChemError
