@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..match import Pattern, find_monomorphisms
+from ..match import Pattern, _count_monomorphisms
 from .molecule import ChemError, Molecule
 from .smiles import parse_molecule
 
@@ -52,7 +52,7 @@ class EnergyModel:
 
     def add(self, fragment: Molecule, contribution: float) -> None:
         pattern = Pattern(fragment.graph)
-        auto = len(find_monomorphisms(pattern, fragment.graph))
+        auto = _count_monomorphisms(pattern, fragment.graph)
         self._entries.append(EnergyEntry(fragment, float(contribution), auto, pattern))
 
     def __len__(self) -> int:
@@ -97,7 +97,7 @@ def estimate_energy(m: Molecule, model: EnergyModel) -> float:
     """Sum of contributions over symmetry-reduced fragment embeddings."""
     total = 0.0
     for entry in model:
-        n = len(find_monomorphisms(entry.pattern, m.graph))
+        n = _count_monomorphisms(entry.pattern, m.graph)
         if n:
             total += entry.contribution * (n // entry.automorphisms)
     return total

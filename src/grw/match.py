@@ -13,6 +13,8 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import LabeledGraph
@@ -173,18 +175,24 @@ def _compile_constraint(c: MatchConstraint, wildcard: str | None) -> Check:
 class _Step(NamedTuple):
     """What the search does when it maps the ``t``-th node of the order.
 
-    Labels are ``None`` where the pattern has its wildcard.  Candidates are
-    the host neighbours of the image of ``anchor``, the earliest earlier
-    neighbour (all host nodes when there is none); ``backs`` are the edges
-    to earlier nodes, the anchor's first, and ``checks`` the constraints
-    whose last node is mapped here.
+    ``label`` is the pattern node's label, ``None`` where the pattern has
+    its wildcard.  A root step (``anchor`` is ``None``) takes as candidates
+    the host nodes with that label, or every host node for the wildcard.
+    Any other step takes the host neighbours of the image of ``anchor``,
+    the earliest earlier neighbour, and tests their labels.  ``degree`` is
+    the pattern node's degree where a candidate can fall short of it, and
+    0 where none can: a root of degree 0, or an anchored node of degree 1
+    (every neighbour of the anchor's image has one edge).  ``backs`` are
+    the edges to earlier nodes, the anchor's first, and ``check`` is
+    ``None`` or one predicate for every constraint whose last node is
+    mapped here.
     """
     node: int
     label: str | None
     degree: int
     anchor: int | None
     backs: tuple[tuple[int, str | None], ...]
-    checks: tuple[Check, ...]
+    check: Check | None
 
 
 def _search_order(g: LabeledGraph) -> list[int]:
@@ -201,6 +209,11 @@ def _search_order(g: LabeledGraph) -> list[int]:
     return ordered
 
 
+def _both(first: Check, second: Check) -> Check:
+    """A predicate that holds where both hold, trying ``first`` first."""
+    return lambda image, labels, nbrs: first(image, labels, nbrs) and second(image, labels, nbrs)
+
+
 def _compile(pattern: Pattern) -> tuple[_Step, ...]:
     """The search plan of a pattern: one step per node, in search order."""
     pg, wc = pattern.graph, pattern.wildcard
@@ -215,10 +228,13 @@ def _compile(pattern: Pattern) -> tuple[_Step, ...]:
         backs = sorted(((q, None if lbl == wc else lbl)
                         for q, lbl in pg.neighbors(p).items() if step_of[q] < t),
                        key=lambda e: step_of[e[0]])
-        label = pg.label(p)
-        steps.append(_Step(p, None if label == wc else label, pg.degree(p),
-                           backs[0][0] if backs else None, tuple(backs),
-                           tuple(checks_at[t])))
+        label, degree = pg.label(p), pg.degree(p)
+        anchor = backs[0][0] if backs else None
+        least = 0 if anchor is None else 1  # the degree every candidate has
+        steps.append(_Step(p, None if label == wc else label,
+                           degree if degree > least else 0,
+                           anchor, tuple(backs),
+                           reduce(_both, checks_at[t]) if checks_at[t] else None))
     return tuple(steps)
 
 
@@ -263,7 +279,8 @@ def check_constraints(pattern: Pattern, host: LabeledGraph,
     built, and :func:`find_monomorphisms` evaluates during its search, so
     both agree on every constraint."""
     labels, nbrs = host.node_labels, host.neighbors
-    return all(check(image, labels, nbrs) for step in pattern._plan for check in step.checks)
+    return all(step.check(image, labels, nbrs)
+               for step in pattern._plan if step.check is not None)
 
 
 def is_monomorphism(pattern: Pattern, host: LabeledGraph, image: Sequence[int]) -> bool:
@@ -291,6 +308,9 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph,
     so a pattern reused across hosts is not compiled again; a bare graph
     is compiled on each call.  The plan fixes only the order in which
     nodes are tried, so the result is the same sorted list whatever it is.
+    A root step, one with no mapped neighbour, tries only the host nodes
+    that carry its label (all of them for the wildcard), and each step
+    runs one predicate for the constraints it completes, or none.
     The search backtracks on an explicit stack, one iterator of untried
     host candidates per pattern node, so the pattern's size is not bounded
     by the interpreter's recursion limit.  It enumerates every match;
@@ -298,30 +318,59 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph,
     """
     if isinstance(pattern, LabeledGraph):
         pattern = Pattern(pattern)
-    steps = pattern._plan
-    k = len(steps)
+    results: list[tuple[int, ...]] = []
+    _search(pattern._plan, host, results)
+    results.sort()
+    return results
+
+
+def _count_monomorphisms(pattern: Pattern, host: LabeledGraph) -> int:
+    """``len(find_monomorphisms(pattern, host))``, from the same search,
+    without building or sorting the matches."""
+    return _search(pattern._plan, host, None)
+
+
+def _search(steps: tuple[_Step, ...], host: LabeledGraph,
+            results: list[tuple[int, ...]] | None) -> int:
+    """Run a plan on ``host``; count the matches, and append each to
+    ``results`` unless it is ``None``."""
+    k, n = len(steps), host.node_count
+    if k > n:
+        return 0
     if k == 0:
-        return [()]
-    if k > host.node_count:
-        return []
+        if results is not None:
+            results.append(())
+        return 1
 
     labels, nbrs = host.node_labels, host.neighbors
     image = [-1] * k
-    used = [False] * host.node_count
-    results: list[tuple[int, ...]] = []
+    used = [False] * n
+    found = 0
     # untried[t]: step t's candidates not yet tried, None before it starts.
-    # Steps below t are mapped; step t only when the search comes back to it.
+    # Steps below t are mapped; step t only when the search comes back to
+    # it, which the last step never does: it runs through its candidates
+    # in one pass.
     untried: list[Iterator[int] | None] = [None] * k
     t = 0
     while t >= 0:
-        p, plbl, pdeg, anchor, backs, checks = steps[t]
+        p, plbl, pdeg, anchor, backs, check = steps[t]
         todo = untried[t]
         if todo is None:
-            untried[t] = todo = iter(host.nodes() if anchor is None else nbrs(image[anchor]))
+            if anchor is not None:
+                todo = iter(nbrs(image[anchor]))
+            elif plbl is None:
+                todo = iter(range(n))
+            else:
+                todo = compress(range(n), map(plbl.__eq__, labels))
+            untried[t] = todo
         else:
             used[image[p]] = False
+        if anchor is None:
+            plbl = None  # the root's candidates all carry its label
+        last = t == k - 1
         for h in todo:
-            if used[h] or (plbl is not None and labels[h] != plbl) or len(nbrs(h)) < pdeg:
+            if used[h] or (plbl is not None and labels[h] != plbl) or \
+                    (pdeg and len(nbrs(h)) < pdeg):
                 continue
             image[p] = h
             for q, lbl in backs:
@@ -329,19 +378,20 @@ def find_monomorphisms(pattern: Pattern | LabeledGraph,
                 if hl is None or (lbl is not None and hl != lbl):
                     break
             else:
-                if all(check(image, labels, nbrs) for check in checks):
-                    break
+                if check is None or check(image, labels, nbrs):
+                    if not last:
+                        break
+                    # A complete match; the last step goes on to its next candidate.
+                    found += 1
+                    if results is not None:
+                        results.append(tuple(image))
         else:
             untried[t] = None
             t -= 1
             continue
         used[h] = True
-        if t + 1 == k:
-            results.append(tuple(image))
-        else:
-            t += 1
-    results.sort()
-    return results
+        t += 1
+    return found
 
 
 # -- canonical search -------------------------------------------------------

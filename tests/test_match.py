@@ -72,6 +72,62 @@ class TestBasics:
                                                     tuple(reversed(range(n)))]
 
 
+class TestCounting:
+    """The counting entry runs the search of :func:`find_monomorphisms`
+    and returns the length of its list."""
+
+    ETHANE = mol_graph("CC")
+
+    @pytest.mark.parametrize("pattern, host, want", [
+        (LabeledGraph.from_parts([], []), ETHANE, 1),
+        (LabeledGraph.from_parts(["C", "C"], []), LabeledGraph.from_parts(["C"], []), 0),
+        (LabeledGraph.from_parts(["N"], []), ETHANE, 0),
+        (LabeledGraph.from_parts(["C", "N"], [(0, 1, "-")]), ETHANE, 0),
+        (Pattern(LabeledGraph.from_parts(["*", "C"], [(0, 1, "-")]), wildcard="*"), ETHANE, 8),
+        (Pattern(LabeledGraph.from_parts(["*"], []), wildcard="*"), ETHANE, 8),
+    ], ids=["empty pattern", "larger than host", "absent root label",
+            "absent label, two nodes", "wildcard root", "wildcard only"])
+    def test_edge_cases(self, pattern, host, want):
+        if isinstance(pattern, LabeledGraph):
+            pattern = Pattern(pattern)
+        matches = find_monomorphisms(pattern, host)
+        assert matches == brute_force_monomorphisms(pattern, host)
+        assert len(matches) == grw.match._count_monomorphisms(pattern, host) == want
+
+    def test_wildcard_root_is_first_in_the_plan(self):
+        p = Pattern(LabeledGraph.from_parts(["*", "C"], [(0, 1, "-")]), wildcard="*")
+        assert [(s.node, s.label, s.anchor) for s in p._plan] == [(0, None, None), (1, "C", 0)]
+
+
+class TestCheckConstraintsAgreement:
+    """``check_constraints`` reads the predicates the search runs, one per
+    step, whether a step completes no constraint, one or several."""
+
+    # Searched in the order 1, 0, 2: the step of node 1 completes no
+    # constraint, that of node 0 one and that of node 2 three.
+    PATTERN = Pattern(LabeledGraph.from_parts(["A", "B", "A"], [(0, 1, "-"), (1, 2, "-")]),
+                      [NodeDegree(0, ">", 1), NoEdge(0, 2),
+                       Adjacency(2, "<", 3, frozenset({"B"})), NodeDegree(2, "!", 2)])
+
+    def test_plan_shape(self):
+        plan = self.PATTERN._plan
+        assert [s.node for s in plan] == [1, 0, 2]
+        assert [s.check is None for s in plan] == [True, False, False]
+
+    def test_agrees_with_the_search(self):
+        rng = Random(4711)
+        bare = Pattern(self.PATTERN.graph)
+        accepted = rejected = 0
+        for _ in range(40):
+            host = random_graph(rng, 9, ["A", "B"], ["-"], edge_p=0.4)
+            images = brute_force_monomorphisms(bare, host)
+            kept = [m for m in images if check_constraints(self.PATTERN, host, m)]
+            assert kept == find_monomorphisms(self.PATTERN, host)
+            accepted += len(kept)
+            rejected += len(images) - len(kept)
+        assert accepted >= 20 and rejected >= 20
+
+
 # A centre "A" of degree 4: neighbours B, B, C, B over edges -, =, -, -.
 STAR = LabeledGraph.from_parts(["A", "B", "B", "C", "B"],
                                [(0, 1, "-"), (0, 2, "="), (0, 3, "-"), (0, 4, "-")])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import grw.match
 from grw import (Adjacency, EdgeLabel, LabeledGraph, NoEdge, NodeDegree, NodeLabel,
                  Pattern, RuleEdge, RuleGraph, RuleNode, apply_all, canonical_key,
                  explore, find_monomorphisms, parse_gml_graph, parse_gml_rule,
@@ -225,7 +226,9 @@ def match_patterns(draw) -> Pattern:
                                  [(u, v, "-="[(u + v) % 2]) for u in range(10)
                                   for v in range(u + 1, 10) if (u * v) % 3 != 1]))
 def test_find_monomorphisms_agrees_with_brute_force(pattern, host):
-    assert find_monomorphisms(pattern, host) == brute_force_monomorphisms(pattern, host)
+    want = brute_force_monomorphisms(pattern, host)
+    assert find_monomorphisms(pattern, host) == want
+    assert grw.match._count_monomorphisms(pattern, host) == len(want)
 
 
 YDELTA = [parse_gml_rule(asset_text(name)) for name in ("wye_to_delta.gml", "delta_to_wye.gml")]
