@@ -58,6 +58,10 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ring>[0-9]|%[0-9]{2}) | (?P<bracket>\[[^]]*\])
   | (?P<atom>Cl|Br|[BCNOPSFIbcnops]) | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
+
+# Control characters as their Python escapes (``\n`` as ``\\n``), so that
+# an error quoting a bracket atom stays on one line.
+_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7f, 0xa0))}
 # Symbol, hydrogen count, then charge and class text for parse_atom_label.
 _BRACKET_RE = re.compile(r"([A-Z][a-z]?|[bcnops])(?:H([0-9]*))?([-+:].*)?")
 # The bare atoms: the organic subset, and the aromatic elements in lowercase.
@@ -145,13 +149,13 @@ def parse_smiles(text: str, groups=None) -> list[Molecule]:
             else:
                 bm = _BRACKET_RE.fullmatch(value[1:-1])
                 if not bm:
-                    raise SmilesError(f"malformed bracket atom {value}", pos)
+                    raise SmilesError(f"malformed bracket atom {value.translate(_CONTROL_ESCAPES)}", pos)
                 sym, hcount, rest = bm.groups()
                 if sym.capitalize() not in ELEMENTS:
                     raise SmilesError(f"unknown element {sym!r}", pos)
                 atom = parse_atom_label(sym + (rest or ""))
                 if atom is None:
-                    raise SmilesError(f"malformed bracket atom {value}", pos)
+                    raise SmilesError(f"malformed bracket atom {value.translate(_CONTROL_ESCAPES)}", pos)
                 explicit[v] = 0 if hcount is None else int(hcount or 1)
             labels.append(value if atom is None else atom.render())
             aromatic.append(atom is not None and atom.aromatic)

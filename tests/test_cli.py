@@ -68,6 +68,11 @@ class TestCanon:
         assert code == EXIT_PARSE
         assert err == f"parse error: {message}\n"
 
+    def test_bracket_atom_error_is_one_line(self, capsys):
+        code, _, err = run(capsys, "canon", "[CH4\n]")
+        assert code == EXIT_PARSE
+        assert err == "parse error: malformed bracket atom [CH4\\n] (position 0)\n"
+
     def test_impossible_valence_is_domain_error(self, capsys):
         code, _, err = run(capsys, "canon", "[CH5]")
         assert code == EXIT_DOMAIN
