@@ -182,7 +182,7 @@ class _Step(NamedTuple):
     the earliest earlier neighbour, and tests their labels.  ``degree`` is
     the pattern node's degree where a candidate can fall short of it, and
     0 where none can: a root of degree 0, or an anchored node of degree 1
-    (every neighbour of the anchor's image has one edge).  ``backs`` are
+    (every neighbour of the anchor's image has an edge).  ``backs`` are
     the edges to earlier nodes, the anchor's first, and ``check`` is
     ``None`` or one predicate for every constraint whose last node is
     mapped here.
