@@ -15,6 +15,7 @@ from grw.chem import (AROMATIC_ELEMENTS, ORGANIC_SUBSET, ChemError, Molecule,
                       parse_atom_label, parse_molecule, parse_smiles,
                       perceive_aromaticity, sanity_check)
 
+import atom_env_corpus
 import chem_corpus
 import smiles_corpus
 from conftest import prep
@@ -294,6 +295,18 @@ class TestChemCorpus:
             for edit, want in entry["cases"]:
                 got = chem_corpus.outcome(chem_corpus.apply_edit(g, edit))
                 assert got == want, (entry["base"], edit)
+
+
+class TestAtomEnvCorpus:
+    """Sanity, fill, kekulization and canonical SMILES of every star in
+    ``data/atom_env_corpus.json`` keep their recorded outcomes."""
+
+    def test_stars_keep_their_recorded_outcome(self):
+        want = json.loads(atom_env_corpus.CORPUS.read_text())
+        assert [tuple(case[:3]) for case in want] == atom_env_corpus.stars()
+        for centre, h, bonds, recorded in want:
+            got = atom_env_corpus.outcome(atom_env_corpus.star(centre, h, bonds))
+            assert json.loads(json.dumps(got)) == recorded, (centre, h, bonds)
 
 
 def stepwise(m: Molecule) -> tuple[str, Molecule]:
