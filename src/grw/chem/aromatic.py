@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import replace
 
 from ..core import _edited
-from .atoms import AtomLabel, parse_atom_label, allowed_valences
+from .atoms import AtomLabel, parse_atom_label
 from .molecule import ChemError, Molecule, _tally
 from .rings import all_cycles
 
@@ -28,7 +28,8 @@ def kekulize(m: Molecule) -> Molecule:
 
     Every atom with aromatic bonds is classified by how many additional
     bond orders it needs to reach its smallest feasible valence: one
-    (participates in a double bond) or zero (contributes a lone pair).
+    (participates in a double bond) or zero (contributes a lone pair);
+    the atom's tally record holds that need, or why it cannot be met.
     A perfect matching of the one-needing atoms along aromatic bonds is
     then searched; failure raises :class:`KekulizationError`.
     """
@@ -37,32 +38,16 @@ def kekulize(m: Molecule) -> Molecule:
     if not arom_edges:
         return m
 
-    needs: dict[int, int] = {}
     arom_atoms = sorted({v for e in arom_edges for v in e})
     tallies = _tally(m)[0]
     for v in arom_atoms:
-        atom, _, single, arom, _, _ = tallies[v]
-        if atom is None:
-            raise KekulizationError(f"node {v} label {g.label(v)!r} is not an atom")
-        base = single + arom
-        valences = [val for val in allowed_valences(atom.element, atom.charge)
-                    if val >= base]
-        if not valences:
-            raise KekulizationError(
-                f"node {v} ({g.label(v)}) exceeds its valence before kekulization")
-        need = min(valences) - base
-        if need > 1:
-            # A larger valence may also be reachable with one double bond.
-            need = 1 if (base + 1) in valences else need
-        if need > 1:
-            raise KekulizationError(
-                f"node {v} ({g.label(v)}) needs {need} extra bonds; cannot kekulize")
-        needs[v] = need
+        if isinstance(tallies[v].need, tuple):
+            raise KekulizationError(str(v).join(tallies[v].need))
 
     # Backtracking on an explicit stack: the first unmatched pending atom
     # takes its first free aromatic neighbour in ascending order; a dead
     # end undoes the latest choice and tries that atom's next neighbour.
-    pending = sorted(v for v in arom_atoms if needs[v] == 1)
+    pending = [v for v in arom_atoms if tallies[v].need == 1]
     matched: dict[int, int] = {}
     stack: list[tuple[int, Iterator[int]]] = []
     i = 0
@@ -73,7 +58,7 @@ def kekulize(m: Molecule) -> Molecule:
             break
         # The generator tests "u not in matched" when it is advanced.
         stack.append((i, (u for u, lbl in g.neighbors(pending[i]).items()
-                          if lbl == ":" and needs[u] == 1 and u not in matched)))
+                          if lbl == ":" and tallies[u].need == 1 and u not in matched)))
         while stack:
             i, partners = stack[-1]
             v = pending[i]
@@ -89,8 +74,8 @@ def kekulize(m: Molecule) -> Molecule:
         matched[u] = v
         i += 1
 
-    labels = [replace(atom, aromatic=False).render() if atom is not None and atom.aromatic
-              else g.label(v) for v, (atom, *_) in enumerate(tallies)]
+    labels = [replace(rec.atom, aromatic=False).render() if rec.atom and rec.atom.aromatic
+              else rec.label for rec in tallies]
     bonds = [(u, v, "=" if matched.get(u) == v else "-") for u, v in arom_edges]
     return Molecule(_edited(g, labels, g.nodes(), (), bonds), dict(m.explicit_h),
                     filled=m.filled)

@@ -5,6 +5,10 @@ SMILES class number into one string: ``C``, ``Br``, ``c``, ``n``, ``O-``,
 ``N+``, ``C:1``.  The charge renders as a bare sign for magnitude one and
 as sign-plus-digits otherwise; the class joins with a colon.  Aromatic
 atoms use the lowercase element symbol.
+
+What the model decides about one atom environment (its sanity, the
+hydrogens a fill adds, its Kekulé need and its SMILES token) is decided
+once per distinct environment, in :func:`_atom_record`.
 """
 
 from __future__ import annotations
@@ -130,3 +134,67 @@ def implicit_hydrogens(element: str, charge: int, single_sum: int,
         if aromatic_count:
             break
     return 0
+
+
+@dataclass(frozen=True, slots=True)
+class _AtomRecord:
+    """A tally row and the valence model's verdicts on it.
+
+    The row is the node label, its number of ``H`` neighbours, then the
+    non-aromatic bond-order sum and the aromatic bond count over all
+    neighbours and over heavy ones.  Atoms with equal rows share one
+    record, so a message that names the atom is kept as the ``parts``
+    around its number: ``str(v).join(parts)``.
+    """
+    label: str
+    h: int
+    single: int
+    aromatic: int
+    heavy_single: int
+    heavy_aromatic: int
+    atom: AtomLabel | None  # the parsed label
+    violations: tuple  # (kind, parts) of each sanity violation, in check order
+    fill: int | None  # hydrogens fill_hydrogens adds where none are declared
+    need: int | tuple[str, ...]  # Kekulé need, 0 or 1, or the refusal's parts
+    token: str | None  # SMILES token as a heavy atom
+
+
+@lru_cache(maxsize=4096)
+def _atom_record(label: str, h: int, single: int, aromatic: int,
+                 heavy_single: int, heavy_aromatic: int) -> _AtomRecord:
+    """The record of one tally row.  Aromatic atoms pass the valence
+    check with either bond-order reading an alternating ring allows; the
+    Kekulé need counts aromatic bonds as single; the token is a bare
+    symbol when the implicit-hydrogen rule reproduces ``h``."""
+    row = (label, h, single, aromatic, heavy_single, heavy_aromatic)
+    atom = parse_atom_label(label)
+    if atom is None:
+        return _AtomRecord(*row, None,
+                           (("atom-label", (f"label {label!r} is not an atom label",)),),
+                           None, ("node ", f" label {label!r} is not an atom"), None)
+    valences = allowed_valences(atom.element, atom.charge)
+    found = []
+    if atom.aromatic and aromatic < 2:
+        found.append(("aromatic", ("aromatic atom ", f" has {aromatic} aromatic bonds")))
+    if not atom.aromatic and aromatic > 0:
+        found.append(("aromatic", ("non-aromatic atom ", " has an aromatic bond")))
+    if aromatic == 1:
+        found.append(("aromatic", ("atom ", " has a dangling aromatic bond")))
+    elif not valences:
+        found.append(("valence", (f"no valence rule for {label!r}",)))
+    elif not (single + aromatic in valences or aromatic and single + aromatic + 1 in valences):
+        found.append(("valence", ("atom ", f" ({label}) has bond-order sum "
+                                  f"{single + 1.5 * aromatic:g}, allowed valences {valences}")))
+    fill = 0 if atom.element == "H" else \
+        implicit_hydrogens(atom.element, atom.charge, single, aromatic) or 0
+    need = min((v - single - aromatic for v in valences if v >= single + aromatic), default=None)
+    if need is None:
+        need = ("node ", f" ({label}) exceeds its valence before kekulization")
+    elif need > 1:
+        need = ("node ", f" ({label}) needs {need} extra bonds; cannot kekulize")
+    text, k = atom.render(), len(atom.element)
+    hs = "" if h == 0 else "H" if h == 1 else f"H{h}"
+    bare = not atom.charge and atom.cls is None and atom.element in ORGANIC_SUBSET \
+        and implicit_hydrogens(atom.element, 0, heavy_single, heavy_aromatic) == h
+    return _AtomRecord(*row, atom, tuple(found), fill, need,
+                       text if bare else f"[{text[:k]}{hs}{text[k:]}]")

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core import LabeledGraph, _edited
-from .atoms import (AtomLabel, BOND_ORDERS, BOND_SYMBOLS, allowed_valences,
-                    implicit_hydrogens, parse_atom_label)
+from .atoms import BOND_ORDERS, BOND_SYMBOLS, _atom_record, parse_atom_label
 
 
 class ChemError(ValueError):
@@ -29,12 +28,6 @@ class Molecule:
     def atom_count(self) -> int:
         return self.graph.node_count
 
-    def atom(self, v: int) -> AtomLabel:
-        lbl = parse_atom_label(self.graph.label(v))
-        if lbl is None:
-            raise _not_an_atom(self.graph, v)
-        return lbl
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -54,17 +47,17 @@ _ORDER = {s: int(o) for s, o in BOND_ORDERS.items() if s != ":"}
 def _tally(m: Molecule):
     """Every atom's bonds in one pass: ``(atoms, heavy, heavy_adj, odd_edges)``.
 
-    ``atoms[v]`` is ``(label, h, single, aromatic, heavy_single,
-    heavy_aromatic)``: the parsed label (``None`` if no atom), the number
-    of ``H`` neighbours, then the non-aromatic bond-order sum and the
-    aromatic bond count over all neighbours and over heavy ones.
-    ``heavy_adj[i]`` maps the heavy neighbours of ``heavy[i]``, by index
-    in ``heavy``, to bond labels; ``odd_edges`` lists the ``(u, v, label)``
-    that are no bond, in :meth:`~grw.core.LabeledGraph.edges` order.
+    ``atoms[v]`` is the record :func:`~grw.chem.atoms._atom_record` keeps
+    for the atom's row: its label, the number of ``H`` neighbours, then
+    the non-aromatic bond-order sum and the aromatic bond count over all
+    neighbours and over heavy ones, with the valence model's verdicts on
+    that row; atoms with equal rows share it.  ``heavy_adj[i]`` maps the
+    heavy neighbours of ``heavy[i]``, by index in ``heavy``, to bond
+    labels; ``odd_edges`` lists the ``(u, v, label)`` that are no bond, in
+    :meth:`~grw.core.LabeledGraph.edges` order.
     """
     g = m.graph
     labels = g.node_labels
-    parsed = {lbl: parse_atom_label(lbl) for lbl in set(labels)}
     heavy = [v for v, lbl in enumerate(labels) if lbl != "H"]
     index = [0] * len(labels)
     for i, v in enumerate(heavy):
@@ -85,8 +78,8 @@ def _tally(m: Molecule):
                 row[index[u]] = bond
                 single += _ORDER.get(bond, 0)
                 aromatic += bond == ":"
-        atoms.append((parsed[lbl], h, single + h_single, aromatic + h_aromatic,
-                      single, aromatic))
+        atoms.append(_atom_record(lbl, h, single + h_single, aromatic + h_aromatic,
+                                  single, aromatic))
     return atoms, heavy, heavy_adj, odd
 
 
@@ -105,16 +98,10 @@ def fill_hydrogens(m: Molecule) -> Molecule:
     """
     labels = list(m.graph.node_labels)
     added: list[tuple[int, int, str]] = []
-    for v, (atom, current_h, single_sum, aromatic, _, _) in enumerate(_tally(m)[0]):
-        if atom is None:
+    for v, rec in enumerate(_tally(m)[0]):
+        if rec.atom is None:
             raise _not_an_atom(m.graph, v)
-        if v in m.explicit_h:
-            missing = m.explicit_h[v] - current_h
-        elif atom.element == "H":
-            missing = 0
-        else:
-            target = implicit_hydrogens(atom.element, atom.charge, single_sum, aromatic)
-            missing = 0 if target is None else target
+        missing = m.explicit_h[v] - rec.h if v in m.explicit_h else rec.fill
         for _ in range(max(0, missing)):
             labels.append("H")
             added.append((v, len(labels) - 1, "-"))
@@ -159,36 +146,8 @@ def _sanity(m: Molecule, tally) -> list[Violation]:
         out.append(Violation("bond-label", u,
                              f"edge ({u}, {v}) label {lbl!r} is not a bond symbol"))
 
-    for v, (atom, _, single_sum, aromatic, _, _) in enumerate(atoms):
-        if atom is None:
-            out.append(Violation("atom-label", v,
-                                 f"label {g.label(v)!r} is not an atom label"))
-            continue
-        if atom.aromatic and aromatic < 2:
-            out.append(Violation("aromatic", v,
-                                 f"aromatic atom {v} has {aromatic} aromatic bonds"))
-        if not atom.aromatic and aromatic > 0:
-            out.append(Violation("aromatic", v,
-                                 f"non-aromatic atom {v} has an aromatic bond"))
-        if aromatic == 1:
-            out.append(Violation("aromatic", v,
-                                 f"atom {v} has a dangling aromatic bond"))
-            continue
-        valences = allowed_valences(atom.element, atom.charge)
-        if not valences:
-            out.append(Violation("valence", v,
-                                 f"no valence rule for {g.label(v)!r}"))
-            continue
-        if aromatic:
-            ok = (single_sum + aromatic) in valences or \
-                 (single_sum + aromatic + 1) in valences
-        else:
-            ok = single_sum in valences
-        if not ok:
-            out.append(Violation(
-                "valence", v,
-                f"atom {v} ({g.label(v)}) has bond-order sum "
-                f"{single_sum + 1.5 * aromatic:g}, allowed valences {valences}"))
+    out += [Violation(kind, v, str(v).join(parts))
+            for v, rec in enumerate(atoms) for kind, parts in rec.violations]
     return out
 
 

@@ -38,8 +38,8 @@ from heapq import heappop, heappush
 
 from ..core import LabeledGraph, connected_components
 from ..match import canonical_form
-from .atoms import (AROMATIC_ELEMENTS, AtomLabel, ORGANIC_SUBSET, implicit_hydrogens,
-                    parse_atom_label, ELEMENTS)
+from .atoms import (AROMATIC_ELEMENTS, AtomLabel, ORGANIC_SUBSET, parse_atom_label,
+                    ELEMENTS)
 from .aromatic import perceive_aromaticity
 from .groups import _placeholder_name
 from .molecule import ChemError, Molecule, _not_an_atom, _sanity, _tally
@@ -213,27 +213,15 @@ _BOND_RANK = {"-": 0, "=": 1, "#": 2, ":": 3}
 _RING_DIGITS = [""] + [str(d) if d < 10 else f"%{d}" for d in range(1, 100)]
 
 
-def _initial_colors(heavy: list[tuple], adj: list[dict[int, str]]) -> list[int]:
-    """Colour of each heavy atom from its tally and its heavy-atom bonds."""
+def _initial_colors(heavy: list, adj: list[dict[int, str]]) -> list[int]:
+    """Colour of each heavy atom from its tally record and its heavy-atom bonds."""
     sigs = []
-    for (atom, h, *_), row in zip(heavy, adj):
+    for rec, row in zip(heavy, adj):
+        atom = rec.atom
         sigs.append((atom.element, atom.charge, atom.cls if atom.cls is not None else -1,
-                     atom.aromatic, len(row), h, tuple(sorted(row.values()))))
+                     atom.aromatic, len(row), rec.h, tuple(sorted(row.values()))))
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     return [ranking[s] for s in sigs]
-
-
-def _atom_token(atom: AtomLabel, h: int, heavy_single: int, heavy_aromatic: int) -> str:
-    """Shortest token for an atom: bare organic-subset symbol when the
-    implicit-hydrogen rules reproduce the actual hydrogen count, else the
-    atom label with the hydrogen count after its symbol, in brackets."""
-    text = atom.render()
-    if atom.charge == 0 and atom.cls is None and atom.element in ORGANIC_SUBSET \
-            and implicit_hydrogens(atom.element, 0, heavy_single, heavy_aromatic) == h:
-        return text
-    k = len(atom.element)
-    hs = "" if h == 0 else "H" if h == 1 else f"H{h}"
-    return f"[{text[:k]}{hs}{text[k:]}]"
 
 
 def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
@@ -347,11 +335,11 @@ def _canonical(m: Molecule, tally) -> str:
             return "[H][H]"
         raise ChemError("cannot canonicalize an all-hydrogen fragment this large")
     heavy = [atoms[v] for v in heavy_nodes]
-    for v, (atom, *_) in zip(heavy_nodes, heavy):
-        if atom is None:
+    for v, rec in zip(heavy_nodes, heavy):
+        if rec.atom is None:
             raise _not_an_atom(m.graph, v)
     labels = m.graph.node_labels
-    if any(lbl == "H" and (atoms[v][1] or m.graph.degree(v) != 1)
+    if any(lbl == "H" and (atoms[v].h or m.graph.degree(v) != 1)
            for v, lbl in enumerate(labels)):
         raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
     if odd_edges:
@@ -359,13 +347,13 @@ def _canonical(m: Molecule, tally) -> str:
     # With no odd label, every bond to a hydrogen orders at least 1, so
     # an atom's hydrogen bonds are all "-" when their orders sum to its
     # hydrogen count and none is aromatic.
-    for v, (_, h, single, arom, heavy_single, heavy_arom) in zip(heavy_nodes, heavy):
-        if single - heavy_single != h or arom != heavy_arom:
+    for v, rec in zip(heavy_nodes, heavy):
+        if rec.single - rec.heavy_single != rec.h or rec.aromatic != rec.heavy_aromatic:
             u, lbl = next((u, lbl) for u, lbl in m.graph.neighbors(v).items()
                           if labels[u] == "H" and lbl != "-")
             raise _bad_bond(*sorted((u, v)), lbl, labels)
-    tokens = [_atom_token(atom, h, single, arom) for atom, h, _, _, single, arom in heavy]
-    aromatic = [atom.aromatic for atom, *_ in heavy]
+    tokens = [rec.token for rec in heavy]
+    aromatic = [rec.atom.aromatic for rec in heavy]
     return canonical_form([[(u, _BOND_RANK[lbl]) for u, lbl in row.items()] for row in adj],
                           _initial_colors(heavy, adj),
                           lambda rank: _emit(tokens, aromatic, adj, rank))

@@ -3,10 +3,11 @@
 No module imports a name it never uses; package ``__init__`` modules are
 skipped, since their imports are the package's re-exports.  No module
 but ``core.py`` reads the storage attributes of ``LabeledGraph``, so
-that the way edges are stored is known in one place.  Only the module
-that defines ``BOND_ORDERS``, the molecule tally and the rule check read
-it, so that no other module decides how a bond label counts toward
-valence.
+that the way edges are stored is known in one place.  Each name of the
+valence model (``BOND_ORDERS``, ``allowed_valences``,
+``implicit_hydrogens``) is read only by the modules listed for it in
+``READERS``, so that no other module decides how a bond label counts
+toward valence or what an atom environment means.
 No function calls itself by name, so that no search depends on the
 interpreter's recursion limit.
 Every import is at module level, so that a module's dependencies are
@@ -87,33 +88,43 @@ def test_graph_storage_is_read_only_in_core(module):
     assert storage_reads((SRC / module).read_text()) == []
 
 
-# Modules that may read the bond-order table; package __init__ modules
-# re-export it and are not in MODULES.
-BOND_ORDER_READERS = frozenset({"chem/atoms.py", "chem/molecule.py", "chem/rulecheck.py"})
+# The names of the valence model, each with the modules that may read it,
+# so that no other module decides how a bond label counts toward valence
+# or what an atom environment means.  Package __init__ modules re-export
+# them and are not in MODULES.
+READERS = {
+    "BOND_ORDERS": frozenset({"chem/atoms.py", "chem/molecule.py", "chem/rulecheck.py"}),
+    "allowed_valences": frozenset({"chem/atoms.py", "chem/rulecheck.py"}),
+    "implicit_hydrogens": frozenset({"chem/atoms.py"}),
+}
 
 
-def bond_order_reads(source: str) -> list[int]:
-    """Lines that import, name or take the attribute ``BOND_ORDERS``."""
-    tree = ast.parse(source)
-    lines = set()
-    for n in ast.walk(tree):
-        if (isinstance(n, ast.Name) and n.id == "BOND_ORDERS"
-                or isinstance(n, ast.Attribute) and n.attr == "BOND_ORDERS"
-                or isinstance(n, ast.ImportFrom)
-                and any(a.name == "BOND_ORDERS" for a in n.names)):
-            lines.add(n.lineno)
-    return sorted(lines)
+def name_reads(source: str, names) -> list[str]:
+    """Lines that import, name or take the attribute of one of ``names``."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and n.id in names:
+            found.add((n.lineno, n.id))
+        elif isinstance(n, ast.Attribute) and n.attr in names:
+            found.add((n.lineno, n.attr))
+        elif isinstance(n, ast.ImportFrom):
+            found.update((n.lineno, a.name) for a in n.names if a.name in names)
+    return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
 def test_checker_flags_a_bond_order_read():
-    source = ("from .atoms import BOND_ORDERS as B\nx = atoms.BOND_ORDERS[':']\n"
-              "y = BOND_SYMBOLS\nz = sorted(BOND_ORDERS)\n")
-    assert bond_order_reads(source) == [1, 2, 4]
+    source = ("from .atoms import BOND_ORDERS as B, implicit_hydrogens\n"
+              "x = atoms.BOND_ORDERS[':']\ny = BOND_SYMBOLS\nz = sorted(BOND_ORDERS)\n"
+              "w = allowed_valences('C')\n")
+    assert name_reads(source, {"BOND_ORDERS", "implicit_hydrogens"}) == [
+        "BOND_ORDERS (line 1)", "implicit_hydrogens (line 1)", "BOND_ORDERS (line 2)",
+        "BOND_ORDERS (line 4)"]
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m not in BOND_ORDER_READERS])
+@pytest.mark.parametrize("module", MODULES)
 def test_bond_orders_are_read_only_by_the_valence_model(module):
-    assert bond_order_reads((SRC / module).read_text()) == []
+    barred = {name for name, readers in READERS.items() if module not in readers}
+    assert name_reads((SRC / module).read_text(), barred) == []
 
 
 def self_calls(source: str) -> list[str]:
