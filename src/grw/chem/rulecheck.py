@@ -76,14 +76,15 @@ def check_chem_rule(rule: RuleGraph) -> tuple[list[RuleViolation], RuleGraph]:
                 f"{right_atom.element}"))
         atoms[n.id] = (left_atom, right_atom)
 
+    # A wildcard bond on one side only, or relabelled, changes its ends by
+    # an unknown order; one on both sides changes nothing.
     wild_edge_nodes: set[int] = set()
     for e in rule.edges:
+        if is_wild(e.left) != is_wild(e.right):
+            wild_edge_nodes.update((e.source, e.target))
         for side_label in (e.left, e.right):
-            if side_label is None or is_wild(side_label):
-                if is_wild(side_label):
-                    wild_edge_nodes.update((e.source, e.target))
-                continue
-            if side_label not in BOND_SYMBOLS:
+            if side_label is not None and not is_wild(side_label) \
+                    and side_label not in BOND_SYMBOLS:
                 violations.append(RuleViolation(
                     "label", (e.source, e.target),
                     f"edge label {side_label!r} is not a bond symbol"))

@@ -71,17 +71,34 @@ class TestCheckChemRule:
         assert any(v.kind == "label" for v in violations)
 
     def test_wildcard_material_is_exempt_from_valence_accounting(self):
-        # Node 3 is a wildcard atom and the 1-2 bond is a wildcard bond, so
-        # none of these atoms can be budgeted; the changing 1-3 bond must
-        # not be reported even though it would over-bond a plain carbon.
+        # Node 3 is a wildcard atom and the rule deletes the 1-2 bond of
+        # unknown order, so none of these atoms can be budgeted; the
+        # changing 1-3 bond must not be reported even though it would
+        # over-bond a plain carbon.
         rule = RuleGraph("any", [
             RuleNode(1, "C", "C"), RuleNode(2, "C", "C"),
             RuleNode(3, "*", "*"),
-        ], [RuleEdge(1, 2, "*", "*"), RuleEdge(1, 3, "-", "=")],
+        ], [RuleEdge(1, 2, "*", None), RuleEdge(1, 3, "-", "=")],
             wildcard="*")
         violations, fixed = check_chem_rule(rule)
         assert violations == []
         assert fixed.wildcard == "*"
+
+    @pytest.mark.parametrize("left, right, exempt", [
+        ("*", "*", False), ("*", None, True), (None, "*", True), ("*", ":", True),
+        ("-", "*", True),
+    ])
+    def test_only_a_wildcard_bond_that_changes_exempts_its_ends(self, left, right, exempt):
+        # A context wildcard bond keeps its order, so the new 1-3 bond must
+        # still fit a valence transition on both carbons.
+        rule = RuleGraph("unbalanced", [
+            RuleNode(1, "C", "C"), RuleNode(2, "*", "*"),
+            RuleNode(3, "C", "C"), RuleNode(4, "*", "*"),
+        ], [RuleEdge(1, 2, left, right), RuleEdge(3, 4, left, right),
+            RuleEdge(1, 3, None, "-")], wildcard="*")
+        violations, _ = check_chem_rule(rule)
+        assert [(v.kind, v.where) for v in violations] == \
+            ([] if exempt else [("valence", 1), ("valence", 3)])
 
     def test_undeclared_star_becomes_wildcard(self):
         rule = RuleGraph("star", [RuleNode(1, "*", "*")], [])
