@@ -22,7 +22,7 @@ from .core import GraphPool, LabeledGraph, _gml_string, connected_components, di
 from .match import NoEdge, Pattern, constraint_nodes, find_monomorphisms, remap_constraint
 from .rules import RuleGraph, apply as apply_rule, reverse_rule
 from .chem import (ChemError, EnergyModel, Molecule, RateParams, accept_product,
-                   canonical_smiles, estimate_energy, perceive_aromaticity, reaction_rate)
+                   estimate_energy, reaction_rate)
 
 log = logging.getLogger(__name__)
 
@@ -204,10 +204,11 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
            cfg: ExpansionConfig) -> ReactionNetwork:
     """Expand the network for ``cfg.iterations`` rounds.
 
-    One ``_Expansion`` holds the state of the call.  Each product is
-    accepted by :func:`~grw.chem.accept_product`; one it rejects is
-    reported through the module logger and its reaction is discarded;
-    expansion never aborts on them.  Every molecule the network stores
+    One ``_Expansion`` holds the state of the call.  Each seed and each
+    product is accepted by :func:`~grw.chem.accept_product`.  A seed it
+    rejects raises its :class:`~grw.chem.ChemError`; a product it rejects
+    is reported through the module logger and its reaction is discarded,
+    and expansion never aborts on them.  Every molecule the network stores
     (seeds and new products) goes through the state's one
     :class:`~grw.core.GraphPool`, so stored graphs share equal rows and
     tuples; discarded and duplicate products never reach it.
@@ -227,8 +228,7 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
     x = _Expansion(cfg, [_compile_rule(r) for r in rules],
                    ReactionNetwork(iterations=cfg.iterations))
     for m in inputs:
-        mol = perceive_aromaticity(m)
-        x.store(canonical_smiles(mol), mol)
+        x.store(*accept_product(m))
 
     molecules, cap, matches_in = x.net.molecules, cfg.max_atoms, x.matches_in
     for i in range(1, cfg.iterations + 1):

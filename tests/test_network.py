@@ -16,9 +16,9 @@ import pytest
 
 from grw import (NoEdge, RuleEdge, RuleGraph, RuleNode, apply, canonical_key,
                  connected_components, disjoint_union, find_monomorphisms, network)
-from grw.chem import (Molecule, canonical_smiles, fill_hydrogens,
-                      load_energy_model, molecular_formula, perceive_aromaticity,
-                      sanity_check)
+from grw.chem import (ChemError, Molecule, canonical_smiles, fill_hydrogens,
+                      load_energy_model, molecular_formula, parse_molecule,
+                      perceive_aromaticity, sanity_check)
 from grw.network import (ExpansionConfig, ReactionNetwork, _compile_rule, expand,
                          to_dot, to_gml)
 
@@ -236,6 +236,12 @@ class TestConfig:
         net = expand(formose_inputs, formose_rules,
                      ExpansionConfig(iterations=0))
         assert net.stats() == [(0, 2, 0)]
+
+    def test_insane_seed_rejected_at_entry(self, formose_rules, formose_inputs):
+        # A seed is accepted as a product is: its sanity violations raise.
+        seed = fill_hydrogens(parse_molecule("C(C)(C)(C)(C)C"))
+        with pytest.raises(ChemError, match=r"^atom 0 \(C\) has bond-order sum 5"):
+            expand(formose_inputs + [seed], formose_rules, ExpansionConfig(iterations=0))
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
