@@ -441,6 +441,93 @@ def solve_sudoku_oracle(puzzle: str) -> str | None:
 
 
 # ---------------------------------------------------------------------------
+# Atom tally by direct counting
+# ---------------------------------------------------------------------------
+
+_BOND_ORDER = {"-": 1, "=": 2, "#": 3}
+
+
+def reference_tally(g: LabeledGraph):
+    """``(rows, heavy, heavy_adj, odd_edges)`` counted edge by edge.
+
+    ``rows[v]`` is ``(label, H neighbours, non-aromatic bond-order sum,
+    aromatic bond count, the same two over heavy neighbours)``; ``heavy``
+    lists the nodes not labelled ``H``; ``heavy_adj[i]`` lists
+    ``(index in heavy, bond label)`` per heavy neighbour of ``heavy[i]``
+    in neighbour order; ``odd_edges`` lists the ``(u, v, label)`` whose
+    label is none of ``- = # :``, in ``edges()`` order.
+    """
+    labels = g.node_labels
+    rows = []
+    for v in g.nodes():
+        everything = list(g.neighbors(v).items())
+        heavy_only = [(u, b) for u, b in everything if labels[u] != "H"]
+        rows.append((labels[v], len(everything) - len(heavy_only),
+                     sum(_BOND_ORDER.get(b, 0) for _, b in everything),
+                     sum(1 for _, b in everything if b == ":"),
+                     sum(_BOND_ORDER.get(b, 0) for _, b in heavy_only),
+                     sum(1 for _, b in heavy_only if b == ":")))
+    heavy = [v for v in g.nodes() if labels[v] != "H"]
+    index = {v: i for i, v in enumerate(heavy)}
+    heavy_adj = [[(index[u], b) for u, b in g.neighbors(v).items() if u in index]
+                 for v in heavy]
+    odd = [(u, v, b) for u, v, b in g.edges() if b not in ("-", "=", "#", ":")]
+    return rows, heavy, heavy_adj, odd
+
+
+# ---------------------------------------------------------------------------
+# Partition refinement, round by round
+# ---------------------------------------------------------------------------
+
+def reference_refine(nbrs, colors: list[int], cells: dict[int, list[int]], touched) -> None:
+    """The ordered-partition refinement of ``grw.match`` as first written:
+    each synchronous round examines the cells next to every member of a
+    cell that split in the round before, splits each by the sorted tuple
+    of its members' ``colors[u] + off`` over ``nbrs[v]``, and orders the
+    parts by that tuple; it stops when a round splits nothing."""
+    while True:
+        candidates = {colors[u] for v in touched for u, _ in nbrs[v]}
+        splits = []
+        for start in candidates:
+            members = cells[start]
+            if len(members) == 1:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in members:
+                sig = tuple(sorted([colors[u] + off for u, off in nbrs[v]]))
+                parts.setdefault(sig, []).append(v)
+            if len(parts) > 1:
+                splits.append((start, parts))
+        if not splits:
+            return
+        touched = []
+        for start, parts in splits:
+            for sig in sorted(parts):
+                part = parts[sig]
+                cells[start] = part
+                for v in part:
+                    colors[v] = start
+                start += len(part)
+                touched += part
+
+
+def reference_refined(adj, colors):
+    """``(nbrs, colors, cells)``: the neighbour pairs ``(u, code * n)``
+    and the initial colouring refined by :func:`reference_refine`, colours
+    as the start position of the cell in the ordering."""
+    n = len(adj)
+    nbrs = [[(u, code * n) for u, code in a] for a in adj]
+    order = sorted(range(n), key=lambda v: colors[v])
+    pos = [0] * n
+    cells: dict[int, list[int]] = {}
+    for i, v in enumerate(order):
+        pos[v] = i if i == 0 or colors[v] != colors[order[i - 1]] else pos[order[i - 1]]
+        cells.setdefault(pos[v], []).append(v)
+    reference_refine(nbrs, pos, cells, range(n))
+    return nbrs, pos, cells
+
+
+# ---------------------------------------------------------------------------
 # Random test-case generators (deterministic via caller-provided Random)
 # ---------------------------------------------------------------------------
 

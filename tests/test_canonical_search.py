@@ -19,8 +19,10 @@ import pytest
 
 from grw import LabeledGraph, canonical_key, disjoint_union, parse_gml_rule
 from grw.chem import canonical_smiles, fill_hydrogens, parse_smiles
+from grw.match import _refine, _refined
 from grw.rules import explore
 
+import oracles
 import twin_corpus
 from conftest import asset_text, permuted, prep
 
@@ -118,6 +120,35 @@ class TestRefinementBlindPairs:
         hexane = prep("C1CCCCC1").graph
         both, _ = disjoint_union([prep("C1CC1").graph, prep("C1CC1").graph])
         assert canonical_key(hexane) != canonical_key(both)
+
+
+def test_refinement_keeps_the_reference_partition():
+    """The root refinement and one individualization step after it give
+    the colours and cells of ``oracles.reference_refine``, on seeded
+    random graphs with up to three edge codes and random initial colours."""
+    rng = Random(2214)
+    for _ in range(10000):
+        codes = [str(c) for c in range(rng.randint(1, 3))]
+        g = oracles.random_graph(rng, 14, ["*"], codes, edge_p=rng.uniform(0.1, 0.6))
+        adj = [[(u, int(lbl)) for u, lbl in g.neighbors(v).items()] for v in g.nodes()]
+        colors = [rng.randrange(3) for _ in g.nodes()]
+        nbrs, got, got_cells = _refined(adj, colors)
+        _, want, want_cells = oracles.reference_refined(adj, colors)
+        assert (got, got_cells) == (want, want_cells), (adj, colors)
+        targets = [s for s, c in got_cells.items() if len(c) > 1]
+        if not targets:
+            continue
+        target = rng.choice(targets)
+        members = list(got_cells[target])
+        v = rng.choice(members)
+        rest = [w for w in members if w != v]
+        for c, cells in ((got, got_cells), (want, want_cells)):
+            cells[target], cells[target + 1] = [v], list(rest)
+            for w in rest:
+                c[w] = target + 1
+        _refine(nbrs, got, got_cells, members)
+        oracles.reference_refine(nbrs, want, want_cells, members)
+        assert (got, got_cells) == (want, want_cells), (adj, colors, v)
 
 
 def test_twin_corpus_is_unchanged():

@@ -14,14 +14,90 @@ from grw.chem import (AROMATIC_ELEMENTS, ORGANIC_SUBSET, ChemError, Molecule,
                       fill_hydrogens, implicit_hydrogens, molecular_formula,
                       parse_atom_label, parse_molecule, parse_smiles,
                       perceive_aromaticity, sanity_check)
+from grw.chem.molecule import _tally
 
 import atom_env_corpus
 import chem_corpus
+import oracles
 import smiles_corpus
 from conftest import prep
 
 CHEM_CORPUS = json.loads(chem_corpus.CORPUS.read_text())["entries"]
 SMILES_CORPUS = json.loads(smiles_corpus.CORPUS.read_text())["entries"]
+
+
+def _methane_plus(labels, edges):
+    """A graph of a methane (nodes 0-4) followed by more nodes."""
+    return LabeledGraph.from_parts(["C", "H", "H", "H", "H"] + labels,
+                                   [(0, h, "-") for h in range(1, 5)] + edges)
+
+
+def _benzene_with(bond: str):
+    """Filled benzene whose first hydrogen is bonded by ``bond``."""
+    g = prep("c1ccccc1").graph
+    first = min(e for e in g.edges() if "H" in (g.label(e[0]), g.label(e[1])))
+    return LabeledGraph.from_parts(g.node_labels, [(u, v, bond if (u, v, b) == first else b)
+                                                   for u, v, b in g.edges()])
+
+
+# Hydrogens other than one "-" bond to a heavy atom, and hydrogens at node 0.
+HYDROGENS = {
+    "lone H": LabeledGraph.from_parts(["H"], []),
+    "H2": LabeledGraph.from_parts(["H", "H"], [(0, 1, "-")]),
+    "isolated H": _methane_plus(["H"], []),
+    "H-H pair": _methane_plus(["H", "H"], [(5, 6, "-")]),
+    "H-H pair on an atom": LabeledGraph.from_parts(
+        ["C", "H", "H", "H", "H"], [(0, 1, "-"), (0, 2, "-"), (0, 3, "-"), (3, 4, "-")]),
+    "H on two heavy atoms": LabeledGraph.from_parts(
+        ["C", "C", "H", "H", "H", "H", "H", "H"],
+        [(0, 1, "-"), (0, 2, "-"), (1, 2, "-"), (0, 3, "-"), (0, 4, "-"),
+         (1, 5, "-"), (1, 6, "-"), (1, 7, "-")]),
+    "=-bonded H": LabeledGraph.from_parts(["C", "H", "H"], [(0, 1, "="), (0, 2, "-")]),
+    ":-bonded H": _benzene_with(":"),
+    "odd-labelled H bond": LabeledGraph.from_parts(
+        ["C", "H", "H", "H", "H"], [(0, 1, "~"), (0, 2, "-"), (0, 3, "-"), (0, 4, "-")]),
+    "H at node 0": LabeledGraph.from_parts(
+        ["H", "C", "H", "H", "H"], [(0, 1, "-"), (1, 2, "-"), (1, 3, "-"), (1, 4, "-")]),
+    "H at node 0, odd bonds": LabeledGraph.from_parts(
+        ["H", "C", "C", "H", "H", "H", "H", "H"],
+        [(0, 2, "~"), (1, 2, "~"), (1, 3, "-"), (1, 4, "-"), (1, 5, "-"),
+         (2, 6, "-"), (2, 7, "-")]),
+    "disconnected, H at node 0": LabeledGraph.from_parts(
+        ["H", "O", "H", "C", "H", "H", "H", "H"],
+        [(0, 1, "-"), (1, 2, "-"), (3, 4, "-"), (3, 5, "-"), (3, 6, "-"), (3, 7, "-")]),
+    "isolated H at node 0": LabeledGraph.from_parts(
+        ["H", "C", "H", "H", "H", "H"], [(1, h, "-") for h in range(2, 6)]),
+}
+
+
+class TestTally:
+    """``_tally`` counts what ``oracles.reference_tally`` counts: each
+    atom's row, the heavy atoms, their adjacency and the odd edges."""
+
+    @staticmethod
+    def check(g: LabeledGraph) -> None:
+        atoms, heavy, heavy_adj, odd = _tally(Molecule(g, {}, filled=True))[:4]
+        got = ([(r.label, r.h, r.single, r.aromatic, r.heavy_single, r.heavy_aromatic)
+                for r in atoms], heavy, [list(row.items()) for row in heavy_adj], odd)
+        assert got == oracles.reference_tally(g)
+
+    @pytest.mark.parametrize("case", sorted(HYDROGENS))
+    def test_hydrogens(self, case):
+        self.check(HYDROGENS[case])
+
+    def test_chem_corpus(self):
+        for entry in CHEM_CORPUS:
+            g = chem_corpus.base_graph(entry["base"])
+            for edit, _ in entry["cases"]:
+                self.check(chem_corpus.apply_edit(g, edit))
+
+    def test_stars(self):
+        for centre, h, bonds in atom_env_corpus.stars():
+            self.check(atom_env_corpus.star(centre, h, bonds))
+
+    def test_formose_molecules(self, formose_net5):
+        for mol, _ in formose_net5.molecules.values():
+            self.check(mol.graph)
 
 
 class TestAtomLabels:
@@ -338,6 +414,10 @@ class TestAcceptProduct:
         "unfilled": Molecule(prep("OCC=O").graph, {}, filled=False),
         "over-valent": Molecule(LabeledGraph.from_parts(
             ["C"] + ["H"] * 5, [(0, h, "-") for h in range(1, 6)]), {}, filled=True),
+        **{case: Molecule(HYDROGENS[case], {}, filled=True) for case in (
+            "isolated H", "H-H pair on an atom", "H on two heavy atoms", "=-bonded H",
+            "odd-labelled H bond", "H at node 0, odd bonds",
+            "disconnected, H at node 0", "isolated H at node 0")},
     }
 
     @pytest.mark.parametrize("case", sorted(ODD))
