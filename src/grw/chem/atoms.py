@@ -157,6 +157,8 @@ class _AtomRecord:
     fill: int | None  # hydrogens fill_hydrogens adds where none are declared
     need: int | tuple[str, ...]  # Kekulé need, 0 or 1, or the refusal's parts
     token: str | None  # SMILES token as a heavy atom
+    ready: bool  # an atom whose hydrogen bonds are all "-" (given no odd labels)
+    prefix: tuple | None  # (element, charge, class or -1, aromatic): initial colour
 
 
 @lru_cache(maxsize=4096)
@@ -171,7 +173,7 @@ def _atom_record(label: str, h: int, single: int, aromatic: int,
     if atom is None:
         return _AtomRecord(*row, None,
                            (("atom-label", (f"label {label!r} is not an atom label",)),),
-                           None, ("node ", f" label {label!r} is not an atom"), None)
+                           None, ("node ", f" label {label!r} is not an atom"), None, False, None)
     valences = allowed_valences(atom.element, atom.charge)
     found = []
     if atom.aromatic and aromatic < 2:
@@ -197,4 +199,7 @@ def _atom_record(label: str, h: int, single: int, aromatic: int,
     bare = not atom.charge and atom.cls is None and atom.element in ORGANIC_SUBSET \
         and implicit_hydrogens(atom.element, 0, heavy_single, heavy_aromatic) == h
     return _AtomRecord(*row, atom, tuple(found), fill, need,
-                       text if bare else f"[{text[:k]}{hs}{text[k:]}]")
+                       text if bare else f"[{text[:k]}{hs}{text[k:]}]",
+                       single - heavy_single == h and aromatic == heavy_aromatic,
+                       (atom.element, atom.charge, -1 if atom.cls is None else atom.cls,
+                        atom.aromatic))

@@ -44,43 +44,72 @@ class Violation:
 _ORDER = {s: int(o) for s, o in BOND_ORDERS.items() if s != ":"}
 
 
+# The record of a hydrogen whose one bond is "-" to a heavy atom.
+_H = _atom_record("H", 0, 1, 0, 1, 0)
+
+
 def _tally(m: Molecule):
-    """Every atom's bonds in one pass: ``(atoms, heavy, heavy_adj, odd_edges)``.
+    """Every atom's bonds, read from the heavy atoms: ``(atoms, heavy,
+    heavy_adj, odd_edges, shared)``.
 
     ``atoms[v]`` is the record :func:`~grw.chem.atoms._atom_record` keeps
     for the atom's row: its label, the number of ``H`` neighbours, then
     the non-aromatic bond-order sum and the aromatic bond count over all
     neighbours and over heavy ones, with the valence model's verdicts on
-    that row; atoms with equal rows share it.  ``heavy_adj[i]`` maps the
-    heavy neighbours of ``heavy[i]``, by index in ``heavy``, to bond
-    labels; ``odd_edges`` lists the ``(u, v, label)`` that are no bond, in
-    :meth:`~grw.core.LabeledGraph.edges` order.
+    that row; atoms with equal rows share it.  ``shared`` counts the
+    hydrogens whose one bond is ``-`` to a heavy atom: each gets the
+    record ``_H`` in that atom's neighbour loop.  Other hydrogens, and
+    heavy atoms next to them or to a label that is no bond symbol, are
+    read one by one.  ``heavy_adj[i]`` maps the heavy neighbours of
+    ``heavy[i]``, by index in ``heavy``, to bond labels; ``odd_edges``
+    lists the ``(u, v, label)`` that are no bond, in ``edges()`` order.
     """
     g = m.graph
     labels = g.node_labels
+    degree, neighbors, order = g.degree, g.neighbors, _ORDER.get
     heavy = [v for v, lbl in enumerate(labels) if lbl != "H"]
-    index = [0] * len(labels)
-    for i, v in enumerate(heavy):
-        index[v] = i
+    index = {v: i for i, v in enumerate(heavy)}
     heavy_adj: list[dict[int, str]] = [{} for _ in heavy]
-    atoms, odd, unused = [], [], {}  # unused: the heavy rows of H atoms, never read
-    for v, lbl in enumerate(labels):
-        row = heavy_adj[index[v]] if lbl != "H" else unused
-        h = h_single = h_aromatic = single = aromatic = 0
-        for u, bond in g.neighbors(v).items():
-            if bond not in BOND_SYMBOLS and u > v:
-                odd.append((v, u, bond))
-            if labels[u] == "H":
-                h += 1
-                h_single += _ORDER.get(bond, 0)
-                h_aromatic += bond == ":"
-            else:
+    atoms: list = [None] * len(labels)
+    odd, shared = [], 0
+    for i, v in enumerate(heavy):
+        row = heavy_adj[i]
+        h, single, aromatic, regular = 0, 0, 0, True
+        for u, bond in neighbors(v).items():
+            if labels[u] != "H":
                 row[index[u]] = bond
-                single += _ORDER.get(bond, 0)
-                aromatic += bond == ":"
-        atoms.append(_atom_record(lbl, h, single + h_single, aromatic + h_aromatic,
-                                  single, aromatic))
-    return atoms, heavy, heavy_adj, odd
+                if (o := order(bond)) is not None:
+                    single += o
+                elif bond == ":":
+                    aromatic += 1
+                else:
+                    regular = False
+            elif bond == "-" and degree(u) == 1:
+                atoms[u] = _H
+                h += 1
+            else:
+                regular = False
+        shared += h
+        atoms[v] = (_atom_record(labels[v], h, single + h, aromatic, single, aromatic)
+                    if regular else _read(g, v, odd))
+    if shared < len(labels) - len(heavy):
+        for v, rec in enumerate(atoms):
+            if rec is None:
+                atoms[v] = _read(g, v, odd)
+        odd.sort()
+    return atoms, heavy, heavy_adj, odd, shared
+
+
+def _read(g: LabeledGraph, v: int, odd: list):
+    """The record of one atom read on its own; appends to ``odd`` its
+    edges to later nodes whose label is no bond symbol."""
+    nbrs = g.neighbors(v).items()
+    odd.extend((v, u, bond) for u, bond in nbrs if bond not in BOND_SYMBOLS and u > v)
+    every = [bond for _, bond in nbrs]
+    heavy = [bond for u, bond in nbrs if g.label(u) != "H"]
+    return _atom_record(g.label(v), len(every) - len(heavy),
+                        sum(_ORDER.get(b, 0) for b in every), every.count(":"),
+                        sum(_ORDER.get(b, 0) for b in heavy), heavy.count(":"))
 
 
 def _not_an_atom(g: LabeledGraph, v: int) -> ChemError:
@@ -126,22 +155,30 @@ def _sanity(m: Molecule, tally) -> list[Violation]:
     if g.node_count == 0:
         return [Violation("empty", None, "molecule has no atoms")]
 
-    # Count the atoms reachable from atom 0.
-    seen = [False] * g.node_count
-    seen[0] = True
-    todo, reached = [0], 1
-    while todo:
-        for u in g.neighbors(todo.pop()):
-            if not seen[u]:
-                seen[u] = True
-                reached += 1
-                todo.append(u)
-    if reached != g.node_count:
+    # Count the atoms reachable from atom 0.  A hydrogen hung on a heavy
+    # atom is reached with it, so when every hydrogen is, the heavy atoms
+    # are counted first, and all atoms only if the heavy ones fall apart.
+    atoms, heavy, heavy_adj, odd_edges, shared = tally
+    views = [(g.neighbors, g.node_count)]
+    if shared == len(atoms) - len(heavy):
+        views.insert(0, (heavy_adj.__getitem__, len(heavy)))
+    for neighbors, n in views:
+        seen = [False] * n
+        seen[0] = True
+        todo, reached = [0], 1
+        while todo:
+            for u in neighbors(todo.pop()):
+                if not seen[u]:
+                    seen[u] = True
+                    reached += 1
+                    todo.append(u)
+        if reached == n:
+            break
+    else:
         out.append(Violation("disconnected", None,
                              f"molecule is not connected ({reached} of "
                              f"{g.node_count} atoms reachable from atom 0)"))
 
-    atoms, _, _, odd_edges = tally
     for u, v, lbl in odd_edges:
         out.append(Violation("bond-label", u,
                              f"edge ({u}, {v}) label {lbl!r} is not a bond symbol"))

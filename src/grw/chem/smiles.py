@@ -215,11 +215,8 @@ _RING_DIGITS = [""] + [str(d) if d < 10 else f"%{d}" for d in range(1, 100)]
 
 def _initial_colors(heavy: list, adj: list[dict[int, str]]) -> list[int]:
     """Colour of each heavy atom from its tally record and its heavy-atom bonds."""
-    sigs = []
-    for rec, row in zip(heavy, adj):
-        atom = rec.atom
-        sigs.append((atom.element, atom.charge, atom.cls if atom.cls is not None else -1,
-                     atom.aromatic, len(row), rec.h, tuple(sorted(row.values()))))
+    sigs = [(rec.prefix, len(row), rec.h, tuple(sorted(row.values())))
+            for rec, row in zip(heavy, adj)]
     ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
     return [ranking[s] for s in sigs]
 
@@ -228,7 +225,12 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
           rank: list[int]) -> str:
     """Write SMILES following ranks: lowest-rank root, neighbors by rank."""
     n = len(tokens)
-    root = rank.index(0)
+    by_rank = sorted(range(n), key=rank.__getitem__)
+    ordered: list[list[int]] = [[] for _ in range(n)]  # neighbours in rank order
+    for v in by_rank:
+        for u in adj[v]:
+            ordered[u].append(v)
+    root = by_rank[0]
 
     def bond_str(a: int, b: int) -> str:
         lbl = adj[a][b]
@@ -252,7 +254,7 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
     last_child = [-1] * n
     subtree_end = [0] * n  # the last atom visited under each atom
     back_open, back_close = [[] for _ in range(n)], [[] for _ in range(n)]
-    walk = [(root, iter(sorted(adj[root], key=rank.__getitem__)))]
+    walk = [(root, iter(ordered[root]))]
     while walk:
         v, pending = walk[-1]
         for u in pending:
@@ -265,7 +267,7 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
                     lead[w] = "(" + lead[w]
                     closes[subtree_end[w]] += 1
                 last_child[v] = u
-                walk.append((u, iter(sorted(adj[u], key=rank.__getitem__))))
+                walk.append((u, iter(ordered[u])))
                 break
             if preindex[u] < preindex[v] and u != parent[v]:
                 back_open[u].append(v)
@@ -327,7 +329,7 @@ def _require_filled(m: Molecule) -> None:
 def _canonical(m: Molecule, tally) -> str:
     """The body of :func:`canonical_smiles` past its fill check, reading
     ``tally = _tally(m)``."""
-    atoms, heavy_nodes, adj, odd_edges = tally
+    atoms, heavy_nodes, adj, odd_edges, shared = tally
     if not heavy_nodes:
         if m.graph.node_count == 1:
             return "[H]"
@@ -335,23 +337,25 @@ def _canonical(m: Molecule, tally) -> str:
             return "[H][H]"
         raise ChemError("cannot canonicalize an all-hydrogen fragment this large")
     heavy = [atoms[v] for v in heavy_nodes]
-    for v, rec in zip(heavy_nodes, heavy):
-        if rec.atom is None:
-            raise _not_an_atom(m.graph, v)
-    labels = m.graph.node_labels
-    if any(lbl == "H" and (atoms[v].h or m.graph.degree(v) != 1)
-           for v, lbl in enumerate(labels)):
-        raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
-    if odd_edges:
-        raise _bad_bond(*odd_edges[0], labels)
-    # With no odd label, every bond to a hydrogen orders at least 1, so
-    # an atom's hydrogen bonds are all "-" when their orders sum to its
-    # hydrogen count and none is aromatic.
-    for v, rec in zip(heavy_nodes, heavy):
-        if rec.single - rec.heavy_single != rec.h or rec.aromatic != rec.heavy_aromatic:
-            u, lbl = next((u, lbl) for u, lbl in m.graph.neighbors(v).items()
-                          if labels[u] == "H" and lbl != "-")
-            raise _bad_bond(*sorted((u, v)), lbl, labels)
+    # No odd label, every hydrogen on one "-" bond, every heavy atom ready: all pass.
+    if odd_edges or shared < len(atoms) - len(heavy) or not all(rec.ready for rec in heavy):
+        for v, rec in zip(heavy_nodes, heavy):
+            if rec.atom is None:
+                raise _not_an_atom(m.graph, v)
+        labels = m.graph.node_labels
+        if any(lbl == "H" and (atoms[v].h or m.graph.degree(v) != 1)
+               for v, lbl in enumerate(labels)):
+            raise ChemError("canonical_smiles requires every hydrogen bonded to one heavy atom")
+        if odd_edges:
+            raise _bad_bond(*odd_edges[0], labels)
+        # With no odd label, every bond to a hydrogen orders at least 1, so
+        # an atom's hydrogen bonds are all "-" when their orders sum to its
+        # hydrogen count and none is aromatic.
+        for v, rec in zip(heavy_nodes, heavy):
+            if not rec.ready:
+                u, lbl = next((u, lbl) for u, lbl in m.graph.neighbors(v).items()
+                              if labels[u] == "H" and lbl != "-")
+                raise _bad_bond(*sorted((u, v)), lbl, labels)
     tokens = [rec.token for rec in heavy]
     aromatic = [rec.atom.aromatic for rec in heavy]
     return canonical_form([[(u, _BOND_RANK[lbl]) for u, lbl in row.items()] for row in adj],
@@ -365,12 +369,13 @@ def accept_product(m: Molecule) -> tuple[str, Molecule]:
     molecule.  Raises :class:`~grw.chem.KekulizationError`, or
     :class:`ChemError` with the sanity violations joined by ``"; "``.
 
-    The perceived molecule is tallied once, and the sanity check and the
-    canonical writer both read that tally."""
+    An unfilled molecule is refused first.  The perceived molecule is
+    tallied once, and the sanity check and the canonical writer both read
+    that tally."""
+    _require_filled(m)
     mol = perceive_aromaticity(m)
     tally = _tally(mol)
     issues = _sanity(mol, tally)
     if issues:
         raise ChemError("; ".join(v.message for v in issues))
-    _require_filled(mol)
     return _canonical(mol, tally), mol

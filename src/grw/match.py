@@ -407,7 +407,8 @@ def _refine(nbrs: list[list[tuple[int, int]]], colors: list[int],
     Each round splits every cell by the sorted tuple of its members'
     neighbour pairs, the parts ordered by that tuple, until a round splits
     nothing.  Only cells with a neighbour in ``touched`` (in a later
-    round: in a cell that split) can split, so only those are examined.
+    round: one whose colour changed; the first part of a split keeps its
+    start) can split, so only those are examined.
     """
     while True:
         candidates = {colors[u] for v in touched for u, _ in nbrs[v]}
@@ -418,21 +419,27 @@ def _refine(nbrs: list[list[tuple[int, int]]], colors: list[int],
                 continue
             parts: dict[tuple[int, ...], list[int]] = {}
             for v in members:
-                sig = tuple(sorted([colors[u] + off for u, off in nbrs[v]]))
-                parts.setdefault(sig, []).append(v)
+                nv = nbrs[v]
+                sig = ((colors[nv[0][0]] + nv[0][1],) if len(nv) == 1
+                       else tuple(sorted([colors[u] + off for u, off in nv])))
+                part = parts.get(sig)
+                if part is None:
+                    parts[sig] = [v]
+                else:
+                    part.append(v)
             if len(parts) > 1:
                 splits.append((start, parts))
         if not splits:
             return
         touched = []
         for start, parts in splits:
-            for sig in sorted(parts):
-                part = parts[sig]
-                cells[start] = part
+            for k, sig in enumerate(sorted(parts)):
+                part = cells[start] = parts[sig]
                 for v in part:
                     colors[v] = start
                 start += len(part)
-                touched += part
+                if k:
+                    touched += part
 
 
 def _refined(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int]

@@ -386,7 +386,10 @@ class TestAtomEnvCorpus:
 
 
 def stepwise(m: Molecule) -> tuple[str, Molecule]:
-    """``accept_product`` spelled out through the public functions."""
+    """``accept_product`` spelled out through the public functions.  An
+    unfilled molecule is refused first, as ``canonical_smiles`` refuses it."""
+    if not m.filled:
+        return canonical_smiles(m), m
     p = perceive_aromaticity(m)
     issues = sanity_check(p)
     if issues:
@@ -437,6 +440,25 @@ class TestAcceptProduct:
         for mol, _ in formose_net5.molecules.values():
             m = Molecule(mol.graph, {}, filled=True)
             assert result(accept_product, m) == result(stepwise, m)
+
+    @pytest.mark.parametrize("smiles", ["CC", "c1ccccc1"])
+    def test_unfilled_is_refused_before_perception(self, smiles):
+        with pytest.raises(ChemError) as err:
+            accept_product(parse_molecule(smiles))
+        assert type(err.value) is ChemError
+        assert str(err.value) == "canonical_smiles requires a hydrogen-filled molecule"
+
+    def test_hydrogens_need_no_record_lookup(self, monkeypatch, formose_net5):
+        import grw.chem.molecule
+        original = grw.chem.molecule._atom_record
+        lookups = []
+        monkeypatch.setattr(grw.chem.molecule, "_atom_record",
+                            lambda *row: lookups.append(row) or original(*row))
+        heavy = 0
+        for mol, _ in formose_net5.molecules.values():
+            accept_product(Molecule(mol.graph, {}, filled=True))
+            heavy += sum(lbl != "H" for lbl in mol.graph.node_labels)
+        assert len(lookups) == heavy
 
     def test_a_product_is_tallied_once(self, monkeypatch, formose_net5):
         import grw.chem.molecule

@@ -243,6 +243,11 @@ class TestConfig:
         with pytest.raises(ChemError, match=r"^atom 0 \(C\) has bond-order sum 5"):
             expand(formose_inputs + [seed], formose_rules, ExpansionConfig(iterations=0))
 
+    def test_unfilled_seed_is_refused_for_its_missing_hydrogens(self):
+        with pytest.raises(ChemError) as err:
+            expand([parse_molecule("CC")], [], ExpansionConfig(iterations=0))
+        assert str(err.value) == "canonical_smiles requires a hydrogen-filled molecule"
+
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             ExpansionConfig(iterations=-1)
