@@ -253,7 +253,7 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
     closes = [0] * n  # the branches closed after each atom
     last_child = [-1] * n
     subtree_end = [0] * n  # the last atom visited under each atom
-    back_open, back_close = [[] for _ in range(n)], [[] for _ in range(n)]
+    back_open, back_close = {}, {}  # ring bonds, by the atom opening and by the one closing
     walk = [(root, iter(ordered[root]))]
     while walk:
         v, pending = walk[-1]
@@ -270,8 +270,8 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
                 walk.append((u, iter(ordered[u])))
                 break
             if preindex[u] < preindex[v] and u != parent[v]:
-                back_open[u].append(v)
-                back_close[v].append(u)
+                back_open.setdefault(u, []).append(v)
+                back_close.setdefault(v, []).append(u)
         else:
             walk.pop()
             subtree_end[v] = order[-1]
@@ -284,12 +284,12 @@ def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
     for v in order:
         out.append(lead[v])
         out.append(tokens[v])
-        if back_close[v]:
+        if v in back_close:
             for u in sorted(back_close[v], key=preindex.__getitem__):
                 d = digit_of.pop((u, v))
                 heappush(free, d)
                 out.append(_RING_DIGITS[d])
-        if back_open[v]:
+        if v in back_open:
             for u in sorted(back_open[v], key=preindex.__getitem__):
                 d = heappop(free)
                 digit_of[(v, u)] = d
