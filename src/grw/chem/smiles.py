@@ -337,7 +337,7 @@ def _canonical(m: Molecule, tally) -> str:
             return "[H][H]"
         raise ChemError("cannot canonicalize an all-hydrogen fragment this large")
     heavy = [atoms[v] for v in heavy_nodes]
-    # No odd label, every hydrogen on one "-" bond, every heavy atom ready: all pass.
+    # The checks below all pass with no odd label, every H shared and every heavy atom ready.
     if odd_edges or shared < len(atoms) - len(heavy) or not all(rec.ready for rec in heavy):
         for v, rec in zip(heavy_nodes, heavy):
             if rec.atom is None:
