@@ -23,12 +23,12 @@ of :func:`grw.match.canonical_form` (neighborhood refinement, then
 individualization of tied atoms, pruned by twins such as the methyls of
 a tert-butyl group and by the automorphisms found) and writes the
 smallest SMILES over its leaves, so any node ordering of the same
-molecule yields byte-identical SMILES.  The initial colours encode
-each atom's label and hydrogen count and the edge codes its bonds, so the
-written SMILES depends only on the ranked heavy-atom graph, as the search
-requires.  A molecule must be connected, with each hydrogen bonded to one
-heavy atom.  Writing uses explicit stacks and touches no interpreter
-setting.
+molecule yields byte-identical SMILES.  The search reads the tally's
+heavy-atom bond rows, ordered by ``_BOND_RANK``, and colours each atom by
+a tuple of its label, heavy degree, hydrogen count and bonds, so the
+written SMILES depends only on the ranked heavy-atom graph, as required.
+A molecule must be connected, with each hydrogen bonded to one heavy
+atom.  Writing uses explicit stacks and touches no interpreter setting.
 """
 
 from __future__ import annotations
@@ -213,12 +213,10 @@ _BOND_RANK = {"-": 0, "=": 1, "#": 2, ":": 3}
 _RING_DIGITS = [""] + [str(d) if d < 10 else f"%{d}" for d in range(1, 100)]
 
 
-def _initial_colors(heavy: list, adj: list[dict[int, str]]) -> list[int]:
+def _initial_colors(heavy: list, adj: list[dict[int, str]]) -> list[tuple]:
     """Colour of each heavy atom from its tally record and its heavy-atom bonds."""
-    sigs = [(rec.prefix, len(row), rec.h, tuple(sorted(row.values())))
+    return [(rec.prefix, len(row), rec.h, tuple(sorted(row.values())))
             for rec, row in zip(heavy, adj)]
-    ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    return [ranking[s] for s in sigs]
 
 
 def _emit(tokens: list[str], aromatic: list[bool], adj: list[dict[int, str]],
@@ -358,8 +356,7 @@ def _canonical(m: Molecule, tally) -> str:
                 raise _bad_bond(*sorted((u, v)), lbl, labels)
     tokens = [rec.token for rec in heavy]
     aromatic = [rec.atom.aromatic for rec in heavy]
-    return canonical_form([[(u, _BOND_RANK[lbl]) for u, lbl in row.items()] for row in adj],
-                          _initial_colors(heavy, adj),
+    return canonical_form(adj, _BOND_RANK, _initial_colors(heavy, adj),
                           lambda rank: _emit(tokens, aromatic, adj, rank))
 
 

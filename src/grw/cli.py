@@ -35,6 +35,10 @@ class DomainError(Exception):
     pass
 
 
+class ParseError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -136,7 +140,7 @@ def _cmd_toychem(args) -> int:
         cfg = network.ExpansionConfig(
             iterations=args.iter,
             max_atoms=args.max_atoms,
-            rate_params=RateParams(T=args.temp) if args.temp else RateParams(),
+            rate_params=RateParams() if args.temp is None else RateParams(T=args.temp),
             energy_model=model,
         )
     except ValueError as exc:
@@ -200,7 +204,10 @@ def _cmd_life(args) -> int:
     base = Path(args.assets) if args.assets else assets_dir()
     rules = [parse_gml_rule((base / name).read_text())
              for name in ("life_birth.gml", "life_death.gml")]
-    g = demos.grid_graph(w, h, alive, torus=args.torus)
+    try:
+        g = demos.grid_graph(w, h, alive, torus=args.torus)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     for step in range(args.steps):
         g = demos.life_step(g, rules)
         if args.trace:
@@ -212,7 +219,10 @@ def _cmd_life(args) -> int:
 
 
 def _cmd_sudoku(args) -> int:
-    g = demos.sudoku_graph(_read_text(args.grid))
+    try:
+        g = demos.sudoku_graph(_read_text(args.grid))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     solved = demos.solve_sudoku(g)
     if solved is None:
         print("no solution", file=sys.stderr)
@@ -296,13 +306,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GmlError, SmilesError) as exc:  # a SmilesError is a ChemError too
+    except (GmlError, SmilesError, ParseError) as exc:  # a SmilesError is a ChemError too
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ChemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DomainError as exc:
+    except (ChemError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

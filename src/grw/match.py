@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import LabeledGraph
 
@@ -442,11 +442,13 @@ def _refine(nbrs: list[list[tuple[int, int]]], colors: list[int],
                     touched += part
 
 
-def _refined(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int]
-             ) -> tuple[list[list[tuple[int, int]]], list[int], dict[int, list[int]]]:
-    """Neighbour pairs for :func:`_refine` and the refined initial partition."""
-    n = len(adj)
-    nbrs = [[(u, code * n) for u, code in a] for a in adj]
+def _refined(rows: Sequence[Mapping[int, Hashable]], codes: Mapping[Hashable, int],
+             colors: Sequence) -> tuple[list[list[tuple[int, int]]], list[int], dict[int, list[int]]]:
+    """The pairs ``(u, codes[label] * n)`` per neighbour for :func:`_refine`,
+    built from the label rows of :func:`canonical_form`, and the refined
+    initial partition: vertices ordered by colour, equal colours in one cell."""
+    n = len(rows)
+    nbrs = [[(u, codes[lbl] * n) for u, lbl in row.items()] for row in rows]
     order = sorted(range(n), key=colors.__getitem__)
     pos = [0] * n
     cells: dict[int, list[int]] = {}
@@ -502,7 +504,7 @@ class _Node:
         return any(_root(parent, w) == root for w in self.explored)
 
 
-def _twins(adj: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+def _twins(nbrs: list[list[tuple[int, int]]]) -> list[int]:
     """A twin id per vertex: the neighbour of a vertex of degree one, -1
     for an isolated vertex and ``n + v`` for any other ``v``.
 
@@ -510,34 +512,35 @@ def _twins(adj: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     initial partition.  Vertices of one such cell have the same initial
     colour and degree, and two of degree one with the same neighbour are
     joined to it by the same code, so equal ids there mean twins."""
-    n = len(adj)
-    return [a[0][0] if len(a) == 1 else n + v if a else -1 for v, a in enumerate(adj)]
+    n = len(nbrs)
+    return [a[0][0] if len(a) == 1 else n + v if a else -1 for v, a in enumerate(nbrs)]
 
 
-def _certificate(adj: Sequence[Sequence[tuple[int, int]]], rank: list[int],
-                 width: int) -> bytes:
+def _certificate(nbrs: list[list[tuple[int, int]]], rank: list[int], width: int) -> bytes:
     """The edges of the graph relabelled by ``rank``, packed exactly: one
     integer per edge, ordered like ``(rank_a, rank_b, code)`` with
-    ``rank_a < rank_b`` (``width`` exceeds every code), sorted."""
-    n = len(adj)
-    return array("q", sorted((rank[v] * n + rank[u]) * width + code
-                             for v, a in enumerate(adj) for u, code in a
+    ``rank_a < rank_b`` (``width`` exceeds every code, and ``off // n`` in
+    the pairs of :func:`_refined` is the code), sorted."""
+    n = len(nbrs)
+    return array("q", sorted((rank[v] * n + rank[u]) * width + off // n
+                             for v, a in enumerate(nbrs) for u, off in a
                              if rank[v] < rank[u])).tobytes()
 
 
-def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[int],
-                   serialize: Callable[[list[int]], str]) -> str:
+def canonical_form(rows: Sequence[Mapping[int, Hashable]], codes: Mapping[Hashable, int],
+                   colors: Sequence, serialize: Callable[[list[int]], str]) -> str:
     """The smallest ``serialize(rank)`` over the leaves of the search tree.
 
-    ``adj[v]`` lists ``(u, code)`` for each neighbour ``u`` of ``v``, with
-    a non-negative integer code for the edge label; ``colors`` is the
-    initial colouring, compared as integers.  A node of the tree refines
+    ``rows[v]`` maps each neighbour ``u`` of ``v`` to the label of their
+    edge, and ``codes`` maps each label to a non-negative integer that
+    gives the order of the labels; ``colors`` is the initial colouring,
+    read only by its order and equality.  A node of the tree refines
     its partition; if a cell has more than one member, the first such cell
     (by colour) is split by individualizing each member in turn.  A leaf
     is a discrete partition, passed on as ``rank[v]`` in ``0..n-1``.
 
     ``serialize(rank)`` may depend only on the graph relabelled by
-    ``rank``: the initial colour and the edge codes at each rank.  The
+    ``rank``: the initial colour and the edge labels at each rank.  The
     search compares leaves by a certificate of its own, the relabelled
     edges with their codes (every leaf ranks vertices by initial colour
     first, so the colour at each rank is the same at every leaf), and
@@ -564,11 +567,11 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
     Only subtrees whose leaves equal explored ones are skipped, so the
     result is the minimum over all leaves (McKay and Piperno 2014).
     """
-    n = len(adj)
-    nbrs, root_colors, root_cells = _refined(adj, colors)
-    twin = _twins(adj) if len(root_cells) < n else []  # read only in cells of 2+
+    n = len(rows)
+    nbrs, root_colors, root_cells = _refined(rows, codes, colors)
+    twin = _twins(nbrs) if len(root_cells) < n else []  # read only in cells of 2+
     best = ""
-    width = 0
+    width = 1 + max(codes.values(), default=0)
     first: tuple[tuple[int, ...], list[int]] | None = None
     seen: dict[bytes, tuple[tuple[int, ...], list[int]]] = {}
     autos: list[list[int]] = []
@@ -578,7 +581,7 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
         """Split cells of twins at once, then push a non-leaf node, or
         score a leaf and return to where an equivalent leaf's path parts
         from this one."""
-        nonlocal best, first, width
+        nonlocal best, first
         while len(cells) < n:
             target = min(s for s, c in cells.items() if len(c) > 1)
             members = cells[target]
@@ -594,18 +597,15 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
             best = serialize(colors)
             return
         if not seen:
-            width = 1 + max((code for a in adj for _, code in a), default=0)
-            seen[_certificate(adj, first[1], width)] = first
-        cert = _certificate(adj, colors, width)
+            seen[_certificate(nbrs, first[1], width)] = first
+        cert = _certificate(nbrs, colors, width)
         prior = seen.get(cert)
         if prior is None:
             seen[cert] = (path, colors)
             best = min(best, serialize(colors))
             return
         prior_path, prior_colors = prior
-        vertex_at = [0] * n
-        for v, r in enumerate(colors):
-            vertex_at[r] = v
+        vertex_at = sorted(range(n), key=colors.__getitem__)
         autos.append([vertex_at[r] for r in prior_colors])
         depth = 0
         while path[depth] == prior_path[depth]:
@@ -640,9 +640,7 @@ def canonical_form(adj: Sequence[Sequence[tuple[int, int]]], colors: Sequence[in
 
 def _serialize_by_rank(labels: list[str], edges: list[tuple[int, int, str]],
                        rank: list[int]) -> str:
-    by_rank = [0] * len(labels)
-    for v, r in enumerate(rank):
-        by_rank[r] = v
+    by_rank = sorted(range(len(labels)), key=rank.__getitem__)
     ltxt = ",".join(labels[v] for v in by_rank)
     ranked = sorted((rank[u], rank[v], lbl) if rank[u] < rank[v] else (rank[v], rank[u], lbl)
                     for u, v, lbl in edges)
@@ -654,16 +652,6 @@ def _serialize_by_rank(labels: list[str], edges: list[tuple[int, int, str]],
 # reads back as one graph only.
 _NODE_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "|": "\\|"})
 _EDGE_ESCAPES = str.maketrans({"\\": "\\\\", ";": "\\;"})
-
-
-def _coded(g: LabeledGraph) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Neighbour lists with edge labels coded by their rank in sorted
-    order, and node labels ranked the same way as initial colours."""
-    node_rank = {lbl: i for i, lbl in enumerate(sorted(set(g.node_labels)))}
-    nbrs = [g.neighbors(v) for v in g.nodes()]
-    edge_rank = {lbl: i for i, lbl in enumerate(sorted({e for a in nbrs for e in a.values()}))}
-    adj = [[(u, edge_rank[lbl]) for u, lbl in a.items()] for a in nbrs]
-    return adj, [node_rank[lbl] for lbl in g.node_labels]
 
 
 def canonical_key(g: LabeledGraph) -> str:
@@ -682,10 +670,12 @@ def canonical_key(g: LabeledGraph) -> str:
     """
     if g.node_count == 0:
         return "0||"
-    adj, colors = _coded(g)
+    rows = [g.neighbors(v) for v in g.nodes()]
+    codes = {lbl: i for i, lbl in enumerate(sorted({e for row in rows for e in row.values()}))}
     labels = [lbl.translate(_NODE_ESCAPES) for lbl in g.node_labels]
     edges = [(u, v, lbl.translate(_EDGE_ESCAPES)) for u, v, lbl in g.edges()]
-    return canonical_form(adj, colors, lambda rank: _serialize_by_rank(labels, edges, rank))
+    return canonical_form(rows, codes, g.node_labels,
+                          lambda rank: _serialize_by_rank(labels, edges, rank))
 
 
 def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:

@@ -19,7 +19,8 @@ import pytest
 
 from grw import LabeledGraph, canonical_key, disjoint_union, parse_gml_rule
 from grw.chem import canonical_smiles, fill_hydrogens, parse_smiles
-from grw.match import _refine, _refined
+from grw import match
+from grw.match import _refine, _refined, _serialize_by_rank, canonical_form
 from grw.rules import explore
 
 import oracles
@@ -130,9 +131,10 @@ def test_refinement_keeps_the_reference_partition():
     for _ in range(10000):
         codes = [str(c) for c in range(rng.randint(1, 3))]
         g = oracles.random_graph(rng, 14, ["*"], codes, edge_p=rng.uniform(0.1, 0.6))
-        adj = [[(u, int(lbl)) for u, lbl in g.neighbors(v).items()] for v in g.nodes()]
+        rows = [g.neighbors(v) for v in g.nodes()]
+        adj = [[(u, int(lbl)) for u, lbl in row.items()] for row in rows]
         colors = [rng.randrange(3) for _ in g.nodes()]
-        nbrs, got, got_cells = _refined(adj, colors)
+        nbrs, got, got_cells = _refined(rows, {lbl: int(lbl) for lbl in codes}, colors)
         _, want, want_cells = oracles.reference_refined(adj, colors)
         assert (got, got_cells) == (want, want_cells), (adj, colors)
         targets = [s for s, c in got_cells.items() if len(c) > 1]
@@ -149,6 +151,43 @@ def test_refinement_keeps_the_reference_partition():
         _refine(nbrs, got, got_cells, members)
         oracles.reference_refine(nbrs, want, want_cells, members)
         assert (got, got_cells) == (want, want_cells), (adj, colors, v)
+
+
+def test_colours_are_read_by_order_only(monkeypatch):
+    """``canonical_form`` serializes the same leaves, compares the same
+    certificates and returns the same string whether the initial colours
+    are integers, zero-padded strings of them or 1-tuples of them, on
+    seeded random graphs and on the twin corpus, whose searches reach a
+    second leaf and so compare certificates."""
+    trace = []
+    certificate = match._certificate
+    def traced_certificate(*args):
+        trace.append(certificate(*args))
+        return trace[-1]
+    monkeypatch.setattr(match, "_certificate", traced_certificate)
+    rng = Random(2323)
+    cases = []
+    for _ in range(400):
+        g = oracles.random_graph(rng, 12, ["*"], ["-", "=", "#"], edge_p=rng.uniform(0.1, 0.6))
+        cases.append((g, [rng.randrange(4) for _ in g.nodes()]))
+    for g in twin_corpus.key_cases().values():
+        rank = {lbl: i for i, lbl in enumerate(sorted(set(g.node_labels)))}
+        cases.append((g, [rank[lbl] for lbl in g.node_labels]))
+    certified = 0
+    for g, ints in cases:
+        rows = [g.neighbors(v) for v in g.nodes()]
+        codes = {lbl: i for i, lbl in enumerate(sorted({e for row in rows for e in row.values()}))}
+        labels = [str(c) for c in ints]
+        def serialize(rank):
+            trace.append(tuple(rank))
+            return _serialize_by_rank(labels, g.edges(), rank)
+        runs = []
+        for colors in (ints, [f"{c:03d}" for c in ints], [(c,) for c in ints]):
+            trace.clear()
+            runs.append((canonical_form(rows, codes, colors, serialize), list(trace)))
+        assert runs[1] == runs[0] and runs[2] == runs[0], (g, ints)
+        certified += any(isinstance(step, bytes) for step in runs[0][1])
+    assert certified > 40
 
 
 def test_twin_corpus_is_unchanged():

@@ -196,7 +196,8 @@ class TestToychem:
         assert "label" in err
 
     @pytest.mark.parametrize("extra", [("--iter", "-1"),
-                                       ("--iter", "1", "--max-atoms", "0")])
+                                       ("--iter", "1", "--max-atoms", "0"),
+                                       ("--iter", "1", "--temp", "0")])
     def test_bad_config_is_usage_error(self, capsys, extra):
         code, _, err = run(capsys, "toychem", "--rules", FORMOSE_RULES[0],
                            "--smiles", "C=O", *extra)
@@ -289,6 +290,11 @@ class TestLife:
         assert code == EXIT_USAGE
         assert "outside" in err
 
+    def test_empty_grid_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "life", "--grid", "0x5")
+        assert code == EXIT_USAGE
+        assert err == "usage error: grid dimensions must be positive\n"
+
 
 class TestSudoku:
     def test_solves_puzzle_file(self, capsys, tmp_path):
@@ -304,6 +310,17 @@ class TestSudoku:
         code, _, err = run(capsys, "sudoku", "--grid", str(path))
         assert code == EXIT_DOMAIN
         assert "no solution" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("12345", "puzzle must have 81 cells, found 5"),
+        ("x" + "0" * 80, "invalid puzzle character 'x'"),
+    ], ids=["cell-count", "character"])
+    def test_malformed_puzzle_is_parse_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "puzzle.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "sudoku", "--grid", str(path))
+        assert code == EXIT_PARSE
+        assert err == f"parse error: {message}\n"
 
 
 class TestDispatch:
