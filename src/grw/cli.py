@@ -44,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """The argparse type of a count option: an integer of at least 0."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, found {text!r}")
+
+
 def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
@@ -135,7 +145,10 @@ def _cmd_toychem(args) -> int:
     rules = _load_chem_rules(args.rules)
     groups = _load_groups(args.groups)
     seeds = [m for text in args.smiles for _, m in _read_smiles(text, groups)]
-    model = load_energy_model(_read_text(args.energy)) if args.energy else None
+    try:
+        model = load_energy_model(_read_text(args.energy)) if args.energy else None
+    except ChemError as exc:  # a malformed file, like a malformed rule file
+        raise ParseError(str(exc)) from exc
     try:
         cfg = network.ExpansionConfig(
             iterations=args.iter,
@@ -267,20 +280,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rings", help="enumerate all simple cycles")
     p.add_argument("--graph", required=True, help="graph GML file")
-    p.add_argument("--max", type=int, default=None, help="maximum ring size")
+    p.add_argument("--max", type=_count, default=None, help="maximum ring size")
     p.set_defaults(func=_cmd_rings)
 
     p = sub.add_parser("ydelta", help="Y-Δ equivalence by bounded BFS")
     p.add_argument("--a", required=True, help="first graph GML file")
     p.add_argument("--b", required=True, help="second graph GML file")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_count, default=3)
     p.add_argument("--assets", help="directory holding the Y-Δ rule files")
     p.set_defaults(func=_cmd_ydelta)
 
     p = sub.add_parser("life", help="Game of Life on a grid graph")
     p.add_argument("--grid", required=True, help="dimensions WxH")
     p.add_argument("--alive", nargs="*", help="alive cells as ROW,COL")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_count, default=1)
     p.add_argument("--torus", action="store_true", help="wrap at the borders")
     p.add_argument("--trace", action="store_true", help="print every step")
     p.add_argument("--assets", help="directory holding the Life rule files")

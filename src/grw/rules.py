@@ -48,7 +48,7 @@ class RuleEdge:
 
 
 class RuleGraph:
-    """A validated rewrite rule over external node ids."""
+    """A validated rewrite rule over external node ids; its left pattern is built with it."""
 
     def __init__(self, rule_id: str, nodes: Sequence[RuleNode],
                  edges: Sequence[RuleEdge],
@@ -62,7 +62,15 @@ class RuleGraph:
         self.edges = tuple(edges)
         self.constraints = tuple(constraints)
         self._validate()
-        self._pattern_cache: tuple[Pattern, dict[int, int]] | None = None
+        left_nodes = [nd for nd in self.nodes if nd.left is not None]
+        ext_to_pid = {nd.id: i for i, nd in enumerate(left_nodes)}
+        labels = [nd.left for nd in left_nodes]
+        edges = [(ext_to_pid[ed.source], ext_to_pid[ed.target], ed.left)
+                 for ed in self.edges if ed.left is not None]
+        graph = LabeledGraph.from_parts(labels, edges,
+                                        ext_ids=[nd.id for nd in left_nodes])
+        constraints = [remap_constraint(c, ext_to_pid) for c in self.constraints]
+        self._left_pattern = (Pattern(graph, constraints, self.wildcard), ext_to_pid)
 
     def _validate(self) -> None:
         by_id: dict[int, RuleNode] = {}
@@ -107,17 +115,7 @@ class RuleGraph:
 
     def left_pattern(self) -> tuple[Pattern, dict[int, int]]:
         """The matching pattern and the external-id -> pattern-id map."""
-        if self._pattern_cache is None:
-            left_nodes = [nd for nd in self.nodes if nd.left is not None]
-            ext_to_pid = {nd.id: i for i, nd in enumerate(left_nodes)}
-            labels = [nd.left for nd in left_nodes]
-            edges = [(ext_to_pid[ed.source], ext_to_pid[ed.target], ed.left)
-                     for ed in self.edges if ed.left is not None]
-            graph = LabeledGraph.from_parts(labels, edges,
-                                            ext_ids=[nd.id for nd in left_nodes])
-            constraints = [remap_constraint(c, ext_to_pid) for c in self.constraints]
-            self._pattern_cache = (Pattern(graph, constraints, self.wildcard), ext_to_pid)
-        return self._pattern_cache
+        return self._left_pattern
 
     def __repr__(self) -> str:
         return f"RuleGraph({self.rule_id!r}, {len(self.nodes)} nodes, {len(self.edges)} edges)"
@@ -171,17 +169,14 @@ def _parse_constraint(kind: str, ts: TokenStream) -> MatchConstraint:
             raise GmlError(f"{kind} is missing its '{name}' entry", tok.line, tok.column)
         return fields[name]
 
-    try:
-        if kind == "constrainNode":
-            return NodeLabel(node=need("id"), op=need("op"),
-                             labels=need("nodeLabels"))
-        if kind == "constrainAdj":
-            return Adjacency(node=need("id"), op=need("op"), count=need("count"),
-                             node_labels=fields.get("nodeLabels", frozenset()),
-                             edge_labels=fields.get("edgeLabels", frozenset()))
-        return NoEdge(source=need("source"), target=need("target"))
-    except ValueError as exc:
-        raise GmlError(str(exc), tok.line, tok.column) from exc
+    if kind == "constrainNode":
+        return NodeLabel(node=need("id"), op=need("op"),
+                         labels=need("nodeLabels"))
+    if kind == "constrainAdj":
+        return Adjacency(node=need("id"), op=need("op"), count=need("count"),
+                         node_labels=fields.get("nodeLabels", frozenset()),
+                         edge_labels=fields.get("edgeLabels", frozenset()))
+    return NoEdge(source=need("source"), target=need("target"))
 
 
 _CONSTRAINT_KINDS = ("constrainNode", "constrainAdj", "constrainNoEdge")
@@ -276,7 +271,7 @@ def parse_gml_rule(text: str, groups=None) -> RuleGraph:
         edges = [RuleEdge(*item) for item in raw_edges]
     try:
         return RuleGraph(rule_id, nodes, edges, constraints, wildcard)
-    except RuleError as exc:
+    except ValueError as exc:  # a RuleError, or a constraint the pattern refuses
         # The whole text is read, so this reports the end-of-text position.
         raise ts.error(str(exc)) from exc
 

@@ -149,6 +149,23 @@ class TestApply:
         code, out, err = run(capsys, "apply", "--rule", str(path), "--smiles", smiles)
         assert (code, out, err) == (EXIT_DOMAIN, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("constraint, message", [
+        ('constrainNode [ id 1 op < nodeLabels [ label "C" ] ]',
+         "operator '<' is not valid for label constraints (line 3, column 1)"),
+        ("constrainNoEdge [ source 1 target 1 ]",
+         "NoEdge endpoints must be distinct (line 3, column 1)"),
+        ("constrainNode [ id 1 op = ]",
+         "constrainNode is missing its 'nodeLabels' entry (line 2, column 36)"),
+    ], ids=["label-op", "noedge-loop", "missing-key"])
+    def test_refused_constraint_is_parse_error(self, capsys, tmp_path, constraint, message):
+        rule = tmp_path / "bad.gml"
+        rule.write_text('rule [ ruleID "r" context [ node [ id 1 label "C" ] ]\n'
+                        f"  left [ {constraint} ] ]\n")
+        host = tmp_path / "g.gml"
+        host.write_text(write_gml_graph(triangle_graph()))
+        code, out, err = run(capsys, "apply", "--rule", str(rule), "--graph", str(host))
+        assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
+
     def test_missing_rule_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "apply", "--rule", "/no/such/rule.gml",
                            "--smiles", "C")
@@ -195,6 +212,27 @@ class TestToychem:
         assert code == EXIT_DOMAIN
         assert "label" in err
 
+    def test_refused_constraint_is_parse_error(self, capsys, tmp_path):
+        rule = tmp_path / "bad.gml"
+        rule.write_text('rule [ ruleID "r" context [ node [ id 1 label "C" ] ]\n'
+                        '  left [ constrainNode [ id 1 op > nodeLabels [ label "C" ] ] ] ]\n')
+        code, out, err = run(capsys, "toychem", "--rules", str(rule),
+                             "--smiles", "C", "--iter", "1")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == ("parse error: operator '>' is not valid for label constraints "
+                       "(line 3, column 1)\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("C=O\tabc\n", "energy model line 1: bad contribution 'abc'"),
+        ("C1CC\t1.0\n", "energy model line 1: unclosed ring bond 1 (position 1)"),
+    ], ids=["contribution", "fragment"])
+    def test_malformed_energy_file_is_parse_error(self, capsys, tmp_path, text, message):
+        energy = tmp_path / "bad.tsv"
+        energy.write_text(text)
+        code, out, err = run(capsys, "toychem", "--rules", FORMOSE_RULES[0],
+                             "--smiles", "C=O", "--iter", "1", "--energy", str(energy))
+        assert (code, out, err) == (EXIT_PARSE, "", f"parse error: {message}\n")
+
     @pytest.mark.parametrize("extra", [("--iter", "-1"),
                                        ("--iter", "1", "--max-atoms", "0"),
                                        ("--iter", "1", "--temp", "0")])
@@ -239,6 +277,20 @@ class TestRings:
         code, _, err = run(capsys, "rings", "--graph", str(path))
         assert code == EXIT_PARSE
         assert err == "parse error: unexpected character '\u00b2' (line 2, column 13)\n"
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (("life", "--grid", "3x3", "--alive", "1,1", "--steps"), "--steps", "-2"),
+    (("rings", "--graph", "{tri}", "--max"), "--max", "-1"),
+    (("ydelta", "--a", "{tri}", "--b", "{tri}", "--depth"), "--depth", "-3"),
+], ids=["life-steps", "rings-max", "ydelta-depth"])
+def test_negative_count_is_usage_error(capsys, tmp_path, argv, option, value):
+    tri = tmp_path / "tri.gml"
+    tri.write_text(write_gml_graph(triangle_graph()))
+    code, out, err = run(capsys, *(a.format(tri=tri) for a in argv), value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"usage error: argument {option}: expected a non-negative "
+                   f"integer, found '{value}'\n")
 
 
 class TestYdelta:

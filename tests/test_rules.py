@@ -10,10 +10,10 @@ from random import Random
 import pytest
 
 import grw.rules
-from grw import (ApplicationError, GmlError, LabeledGraph, NoEdge, RuleEdge,
-                 RuleError, RuleGraph, RuleNode, apply, apply_all, are_isomorphic,
-                 canonical_key, disjoint_union, explore, find_monomorphisms,
-                 parse_gml_rule, reverse_rule)
+from grw import (ApplicationError, GmlError, LabeledGraph, NodeLabel, NoEdge,
+                 RuleEdge, RuleError, RuleGraph, RuleNode, apply, apply_all,
+                 are_isomorphic, canonical_key, disjoint_union, explore,
+                 find_monomorphisms, parse_gml_rule, reverse_rule)
 from grw.chem import fill_hydrogens, parse_smiles
 from grw.rules import _CONSTRAINT_KINDS
 
@@ -120,6 +120,19 @@ class TestRuleGml:
         (["  context [", '    node [ id 1 label "A" ]',
           '    edge [ source 1 target 2 label "-" ]', "  ]"],
          "edge (1, 2) references undeclared node 2", 8, 1),
+        # The rule builds its pattern, and so checks its constraints,
+        # when it is built.
+        (['  context [ node [ id 1 label "C" ] ]',
+          '  left [ constrainNode [ id 1 op < nodeLabels [ label "C" ] ] ]'],
+         "operator '<' is not valid for label constraints", 6, 1),
+        (['  context [ node [ id 1 label "C" ] ]',
+          "  left [ constrainNoEdge [ source 1 target 1 ] ]"],
+         "NoEdge endpoints must be distinct", 6, 1),
+        # A missing constraint key is named at the constraint's closing
+        # bracket, once.
+        (['  context [ node [ id 1 label "C" ] ]',
+          "  left [ constrainNode [ id 1 op = ] ]"],
+         "constrainNode is missing its 'nodeLabels' entry", 4, 36),
     ])
     def test_malformed_rule_position(self, sections, message, line, column):
         text = "\n".join(['rule [', '  ruleID "r"', *sections, "]", ""])
@@ -132,6 +145,11 @@ class TestRuleGml:
         with pytest.raises(GmlError) as err:
             parse_gml_rule('rule [\n  ruleID "r"\n]\n  rule')
         assert str(err.value) == "trailing content after rule block (line 4, column 3)"
+
+    def test_constraint_the_pattern_refuses_fails_when_the_rule_is_built(self):
+        with pytest.raises(ValueError, match="operator '<' is not valid"):
+            RuleGraph("r", [RuleNode(1, "C", "C")], [],
+                      [NodeLabel(1, "<", frozenset({"C"}))])
 
     def test_invalid_rules_rejected(self):
         with pytest.raises(RuleError):
