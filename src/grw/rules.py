@@ -65,12 +65,12 @@ class RuleGraph:
         left_nodes = [nd for nd in self.nodes if nd.left is not None]
         ext_to_pid = {nd.id: i for i, nd in enumerate(left_nodes)}
         labels = [nd.left for nd in left_nodes]
-        edges = [(ext_to_pid[ed.source], ext_to_pid[ed.target], ed.left)
-                 for ed in self.edges if ed.left is not None]
-        graph = LabeledGraph.from_parts(labels, edges,
+        left_edges = [(ext_to_pid[ed.source], ext_to_pid[ed.target], ed.left)
+                      for ed in self.edges if ed.left is not None]
+        graph = LabeledGraph.from_parts(labels, left_edges,
                                         ext_ids=[nd.id for nd in left_nodes])
-        constraints = [remap_constraint(c, ext_to_pid) for c in self.constraints]
-        self._left_pattern = (Pattern(graph, constraints, self.wildcard), ext_to_pid)
+        remapped = [remap_constraint(c, ext_to_pid) for c in self.constraints]
+        self._left_pattern = (Pattern(graph, remapped, self.wildcard), ext_to_pid)
 
     def _validate(self) -> None:
         by_id: dict[int, RuleNode] = {}
