@@ -1,18 +1,16 @@
 """Chemical validation of rewrite rules.
 
 A chemically sound rule conserves atoms (nodes never appear or vanish,
-elements never transmute), keeps every atom's bond-order change
-compatible with its allowed valences, and never forms a bond that could
-already exist.  :func:`check_chem_rule` reports violations of the first
-two kinds and returns a normalized copy of the rule with a ``NoEdge``
-constraint auto-added for every bond the rule creates.
+elements never transmute) and keeps every atom's bond-order change
+compatible with its allowed valences.  :func:`check_chem_rule` reports
+violations of both kinds and returns a copy of the rule with its
+wildcard inferred.  Every rule's own pattern forbids forming a bond twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..match import NoEdge
 from ..rules import RuleGraph
 from .atoms import BOND_ORDERS, BOND_SYMBOLS, allowed_valences, parse_atom_label
 
@@ -33,9 +31,7 @@ def check_chem_rule(rule: RuleGraph) -> tuple[list[RuleViolation], RuleGraph]:
     """Validate a rule chemically; return (violations, normalized rule).
 
     The normalized rule has a wildcard inferred from literal ``*`` labels
-    when none was declared, and a ``NoEdge`` constraint for every edge
-    present only on the right whose endpoints both exist on the left, so
-    that applying it can never form a duplicate bond.
+    when none was declared.
     """
     violations: list[RuleViolation] = []
 
@@ -118,19 +114,6 @@ def check_chem_rule(rule: RuleGraph) -> tuple[list[RuleViolation], RuleGraph]:
                 f"any valence transition of {left_atom.render()} → "
                 f"{right_atom.render()}"))
 
-    # Never form a bond twice: forbid host edges where the rule adds one.
-    left_ids = {n.id for n in rule.nodes if n.left is not None}
-    existing = {(c.source, c.target) for c in rule.constraints
-                if isinstance(c, NoEdge)}
-    existing |= {(t, s) for s, t in existing}
-    auto: list[NoEdge] = []
-    for e in rule.edges:
-        if e.left is None and e.right is not None \
-                and e.source in left_ids and e.target in left_ids \
-                and (e.source, e.target) not in existing:
-            auto.append(NoEdge(e.source, e.target))
-
-    normalized = RuleGraph(rule.rule_id, rule.nodes, rule.edges,
-                           tuple(rule.constraints) + tuple(auto),
+    normalized = RuleGraph(rule.rule_id, rule.nodes, rule.edges, rule.constraints,
                            wildcard=wildcard)
     return violations, normalized

@@ -40,7 +40,7 @@ from ..core import LabeledGraph, connected_components
 from ..match import canonical_form
 from .atoms import (AROMATIC_ELEMENTS, AtomLabel, ORGANIC_SUBSET, parse_atom_label,
                     ELEMENTS)
-from .aromatic import perceive_aromaticity
+from .aromatic import _plain_tree, perceive_aromaticity
 from .groups import _placeholder_name
 from .molecule import ChemError, Molecule, _not_an_atom, _sanity, _tally
 
@@ -366,11 +366,12 @@ def accept_product(m: Molecule) -> tuple[str, Molecule]:
     molecule.  Raises :class:`~grw.chem.KekulizationError`, or
     :class:`ChemError` with the sanity violations joined by ``"; "``.
 
-    An unfilled molecule is refused first.  The perceived molecule is
-    tallied once, and the sanity check and the canonical writer both read
-    that tally."""
+    An unfilled molecule is refused first; a connected one with a tree's
+    bond count and no aromatic bond skips perception.  The perceived
+    molecule is tallied once, and the sanity check and the canonical
+    writer both read that tally."""
     _require_filled(m)
-    mol = perceive_aromaticity(m)
+    mol = m if _plain_tree(m.graph) else perceive_aromaticity(m)
     tally = _tally(mol)
     issues = _sanity(mol, tally)
     if issues:

@@ -459,8 +459,8 @@ def write_gml_graph(g: LabeledGraph) -> str:
     for a, b, lbl in sorted(ext_edges):
         lbl = _gml_string(lbl, f"edge ({a}, {b})")
         lines.append(f'  edge [ source {a} target {b} label "{lbl}" ]')
-    lines.append("]")
-    return "\n".join(lines) + "\n"
+    lines.append("]\n")
+    return "\n".join(lines)
 
 
 # -- combinators -----------------------------------------------------------

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .core import GraphPool, LabeledGraph, _gml_string, connected_components, disjoint_union
-from .match import NoEdge, Pattern, constraint_nodes, find_monomorphisms, remap_constraint
+from .match import Pattern, constraint_nodes, find_monomorphisms, remap_constraint
 from .rules import RuleGraph, apply as apply_rule, reverse_rule
 from .chem import (ChemError, EnergyModel, Molecule, RateParams, accept_product,
                    estimate_energy, reaction_rate)
@@ -133,10 +133,7 @@ def _product_table(rule: RuleGraph, components: list[list[int]]):
     right-side edges, provided that no reactant can split: the rule
     deletes no node, and the endpoints of every deleted edge stay
     connected through right-side edges.  Returns None when that is not
-    proven, or when a created edge joins two nodes of one left component
-    without a ``NoEdge`` guard: such a match may raise
-    :class:`~grw.rules.ApplicationError` in ``apply``, which a size
-    discard must not hide.
+    proven.  Every match applies: the pattern forbids forming a bond twice.
     """
     if any(nd.left is not None and nd.right is None for nd in rule.nodes):
         return None
@@ -145,14 +142,6 @@ def _product_table(rule: RuleGraph, components: list[list[int]]):
             for i, (_, mem) in enumerate(connected_components(right)) for p in mem}
     if any(ed.right is None and part[ed.source] != part[ed.target] for ed in rule.edges):
         return None
-    comp_of = {v: j for j, comp in enumerate(components) for v in comp}
-    guarded = {frozenset((c.source, c.target)) for c in rule.constraints
-               if isinstance(c, NoEdge)}
-    for ed in rule.edges:
-        if ed.left is None and ed.source in comp_of \
-                and comp_of[ed.source] == comp_of.get(ed.target) \
-                and frozenset((ed.source, ed.target)) not in guarded:
-            return None
     # Each left component now lies in one class of right-side edges.
     groups: dict[int, list] = {}
     for j, comp in enumerate(components):
@@ -213,17 +202,18 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
     :class:`~grw.core.GraphPool`, so stored graphs share equal rows and
     tuples; discarded and duplicate products never reach it.
 
+    A match where a bond the rule forms exists is no match of its
+    pattern, so no rule aborts the run.
+
     Under ``cfg.max_atoms``, a reaction with a product over the cap is
-    discarded.  For a rule that deletes no node, keeps the endpoints of
-    every deleted edge connected through right-side edges, and guards
-    every edge it creates inside one left component with a ``NoEdge``
-    constraint, the product sizes follow from the reactant sizes alone,
-    and such a reaction is dropped before the rule is applied (rules
-    checked by :func:`~grw.chem.check_chem_rule` carry those guards; the
-    formose rules qualify except the retro-aldol, which splits a
-    molecule).  Other rules build their products and then test them.
-    A dropped reaction therefore logs no kekulization or sanity warning
-    for its other products.
+    discarded.  For a rule that deletes no node and keeps the endpoints
+    of every deleted edge connected through right-side edges, the
+    product sizes follow from the reactant sizes alone, and such a
+    reaction is dropped before the rule is applied (the formose rules
+    qualify except the retro-aldol, which splits a molecule).  Other
+    rules build their products and then test them.  A dropped reaction
+    therefore logs no kekulization or sanity warning for its other
+    products.
     """
     x = _Expansion(cfg, [_compile_rule(r) for r in rules],
                    ReactionNetwork(iterations=cfg.iterations))
@@ -353,5 +343,5 @@ def to_gml(net: ReactionNetwork) -> str:
             lines.append(f'  edge [ source {index[c]} target {rid} label "" ]')
         for c in rxn.products:
             lines.append(f'  edge [ source {rid} target {index[c]} label "" ]')
-    lines.append("]")
-    return "\n".join(lines) + "\n"
+    lines.append("]\n")
+    return "\n".join(lines)

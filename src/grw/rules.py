@@ -5,12 +5,12 @@ optional left label and an optional right label.  Elements with only a
 left label are deleted, elements with only a right label are created, and
 elements whose labels differ between the sides are relabeled.  The left
 projection of the rule graph is the pattern that is matched into host
-graphs; matching conditions (wildcards and constraints) live on that side.
+graphs; matching conditions (wildcards and constraints) live on that side,
+and the pattern forbids every bond the rule forms between matched nodes.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -20,8 +20,6 @@ from .core import (GmlError, LabeledGraph, TokenStream, _edited, _fingerprint,
 from .match import (Adjacency, MatchConstraint, NodeLabel, NoEdge, Pattern,
                     canonical_key, constraint_nodes, find_monomorphisms,
                     is_monomorphism, remap_constraint)
-
-log = logging.getLogger(__name__)
 
 
 class RuleError(ValueError):
@@ -48,7 +46,9 @@ class RuleEdge:
 
 
 class RuleGraph:
-    """A validated rewrite rule over external node ids; its left pattern is built with it."""
+    """A validated rewrite rule over external node ids; its left pattern is built with it.
+
+    ``constraints`` keeps the declared constraints only."""
 
     def __init__(self, rule_id: str, nodes: Sequence[RuleNode],
                  edges: Sequence[RuleEdge],
@@ -69,7 +69,14 @@ class RuleGraph:
                       for ed in self.edges if ed.left is not None]
         graph = LabeledGraph.from_parts(labels, left_edges,
                                         ext_ids=[nd.id for nd in left_nodes])
-        remapped = [remap_constraint(c, ext_to_pid) for c in self.constraints]
+        # No pushout exists where a bond the rule forms is already there, so
+        # after the declared constraints a NoEdge forbids each one they do not.
+        forbidden = {frozenset((c.source, c.target)) for c in self.constraints
+                     if isinstance(c, NoEdge)}
+        guards = [NoEdge(ed.source, ed.target) for ed in self.edges
+                  if ed.left is None and ed.source in ext_to_pid and ed.target in ext_to_pid
+                  and frozenset((ed.source, ed.target)) not in forbidden]
+        remapped = [remap_constraint(c, ext_to_pid) for c in (*self.constraints, *guards)]
         self._left_pattern = (Pattern(graph, remapped, self.wildcard), ext_to_pid)
 
     def _validate(self) -> None:
@@ -122,7 +129,7 @@ class RuleGraph:
 
 
 def reverse_rule(rule: RuleGraph, rule_id: str | None = None) -> RuleGraph:
-    """Swap the two sides of a rule and drop all matching constraints."""
+    """Swap the two sides of a rule and drop its declared constraints."""
     if rule_id is None:
         rule_id = f"{rule.rule_id} (reverse)"
     nodes = [RuleNode(nd.id, nd.right, nd.left) for nd in rule.nodes]
@@ -376,21 +383,15 @@ def apply_all(rule: RuleGraph, host: LabeledGraph, reporter: Reporter | None = N
     result's (equal labels, ``ext_ids`` and adjacency, as symmetric matches
     often give) is dropped before it is keyed, so the key is computed
     once per distinct graph.  A reporter receives each surviving result;
-    returning ``False`` stops the enumeration early.
-    Matches whose application fails (an edge collision) are skipped with
-    a logged diagnostic rather than aborting the enumeration.
+    returning ``False`` stops the enumeration early.  Every match
+    applies: the pattern forbids the bonds the rule forms.
     """
     pattern, _ = rule.left_pattern()
     results: list[RewriteResult] = []
     fingerprints: set[tuple] = set()
     seen: set[str] = set()
     for match in find_monomorphisms(pattern, host):
-        try:
-            res = apply(rule, host, match)
-        except ApplicationError as exc:
-            log.warning("rule %s: skipping match %s (%s)",
-                        rule.rule_id, match, exc)
-            continue
+        res = apply(rule, host, match)
         if dedup:
             fingerprint = _fingerprint(res.graph)
             if fingerprint in fingerprints:

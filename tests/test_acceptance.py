@@ -192,14 +192,16 @@ def test_criterion_07_aromaticity():
 
 def test_criterion_08_rule_checking(formose_rules, formose_inputs,
                                     diels_alder_rule):
-    """Atom deletion is rejected; right-only edges get NoEdge guards; the
-    growth run never hits an edge collision."""
+    """Atom deletion is rejected; the rule's pattern guards every right-only
+    edge with a NoEdge; the growth run never hits an edge collision."""
     deleting = RuleGraph("vanish", (RuleNode(1, left="C", right=None),), ())
     violations, _ = check_chem_rule(deleting)
     assert any("mass" in str(v) for v in violations)
 
-    noedge_pairs = {frozenset((c.source, c.target))
-                    for c in diels_alder_rule.constraints
+    pattern, _ = diels_alder_rule.left_pattern()
+    ext = pattern.graph.ext_ids
+    noedge_pairs = {frozenset((ext[c.source], ext[c.target]))
+                    for c in pattern.constraints
                     if isinstance(c, NoEdge)}
     right_only = [e for e in diels_alder_rule.edges if e.left is None]
     assert right_only, "the cycloaddition adds edges"

@@ -12,6 +12,8 @@ No function calls itself by name, so that no search depends on the
 interpreter's recursion limit.
 Every import is at module level, so that a module's dependencies are
 read in one place and an import cycle shows when the package loads.
+Every module-level logger is called in its module, so that no module
+keeps a logger it no longer writes to.
 Importing the package again does not keep the old copy alive.
 """
 
@@ -179,6 +181,37 @@ def test_checker_flags_a_nested_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_at_module_level(module):
     assert nested_imports((SRC / module).read_text()) == []
+
+
+def uncalled_loggers(source: str) -> list[str]:
+    """Names bound at module level to a ``getLogger`` result that no call
+    in the module takes a method of."""
+    tree = ast.parse(source)
+    loggers = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "getLogger":
+                loggers.update((t.id, node.lineno) for t in node.targets
+                               if isinstance(t, ast.Name))
+    called = {n.func.value.id for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and isinstance(n.func.value, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(loggers.items())
+            if name not in called]
+
+
+def test_checker_flags_an_uncalled_logger():
+    source = ("import logging\nfrom logging import getLogger\n"
+              "log = logging.getLogger(__name__)\nquiet = getLogger('q')\n"
+              "loud = logging.getLogger('l')\n"
+              "def f():\n    loud.info('x')\n    return quiet\n")
+    assert uncalled_loggers(source) == ["log (line 3)", "quiet (line 4)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_logger_is_called(module):
+    assert uncalled_loggers((SRC / module).read_text()) == []
 
 
 REIMPORT = """

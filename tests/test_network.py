@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from grw import (NoEdge, RuleEdge, RuleGraph, RuleNode, apply, canonical_key,
+from grw import (NoEdge, Pattern, RuleEdge, RuleGraph, RuleNode, apply, canonical_key,
                  connected_components, disjoint_union, find_monomorphisms, network)
 from grw.chem import (ChemError, Molecule, canonical_smiles, fill_hydrogens,
                       load_energy_model, molecular_formula, parse_molecule,
@@ -467,15 +467,60 @@ class TestCappedExpansion:
         assert {(r.iteration, r.signature) for r in net.reactions} == reactions
         assert len(net.reactions) == len(reactions)
 
-    def test_cross_component_noedge_changes_nothing(self, formose_rules,
-                                                    formose_inputs):
+    def test_cross_component_noedge_changes_nothing(self, formose_rules, formose_net5):
+        # Aldol forms 4-5 and 1-6 between its two components.  Its pattern
+        # guards both; its component patterns leave the guards out.
         aldol = formose_rules[2]
         assert aldol.rule_id == "Aldol Condensation"
-        assert any(isinstance(c, NoEdge) for c in aldol.constraints)
-        bare = formose_rules[:2] + [without_noedge(aldol)] + formose_rules[3:]
-        cfg = ExpansionConfig(iterations=4, max_atoms=12)
-        nets = [expand(formose_inputs, rules, cfg) for rules in (formose_rules, bare)]
-        assert to_dot(nets[0]) + to_gml(nets[0]) == to_dot(nets[1]) + to_gml(nets[1])
+        pattern, pid = aldol.left_pattern()
+        guards = [c for c in pattern.constraints if isinstance(c, NoEdge)]
+        assert guards == [NoEdge(pid[4], pid[5]), NoEdge(pid[1], pid[6])]
+        assert not any(isinstance(c, NoEdge)
+                       for comp in _compile_rule(aldol).components for c in comp.constraints)
+        # On a union of two reactants the guards reject no match.
+        bare = Pattern(pattern.graph, [c for c in pattern.constraints if c not in guards])
+        graphs = [m.graph for m, it in formose_net5.molecules.values() if it <= 3]
+        found = 0
+        for combo in itertools.product(graphs, repeat=2):
+            matches = intermolecular_matches(pattern, combo)[1]
+            assert matches == intermolecular_matches(bare, combo)[1]
+            found += len(matches)
+        assert found > 0
+
+
+RING_CLOSURE = RuleGraph(
+    "ring closure", [RuleNode(1, "C", "C"), RuleNode(2, "C", "C"), RuleNode(3, "C", "C")],
+    [RuleEdge(1, 2, "-", "-"), RuleEdge(2, 3, "-", "-"), RuleEdge(1, 3, None, "-")])
+# The same closure made sound: the two ends give up a hydrogen each, as H2.
+H2_RING_CLOSURE = RuleGraph(
+    "H2 ring closure",
+    [RuleNode(1, "C", "C"), RuleNode(2, "C", "C"), RuleNode(3, "C", "C"),
+     RuleNode(4, "H", "H"), RuleNode(5, "H", "H")],
+    [RuleEdge(1, 2, "-", "-"), RuleEdge(2, 3, "-", "-"), RuleEdge(1, 4, "-", None),
+     RuleEdge(3, 5, "-", None), RuleEdge(1, 3, None, "-"), RuleEdge(4, 5, None, "-")])
+
+
+class TestFormedBondsAreGuarded:
+    """A match where a bond the rule forms already exists is no match: the
+    rule's own pattern forbids it, so no run aborts on it."""
+
+    @pytest.mark.parametrize("rule", [RING_CLOSURE, H2_RING_CLOSURE], ids=lambda r: r.rule_id)
+    @pytest.mark.parametrize("cap", [None, 8, 9])
+    def test_ring_closure_agrees_with_naive_expander(self, rule, cap):
+        # Every match of the closure in cyclopropane would form a bond that
+        # exists; propane closes to cyclopropane.
+        seeds = [prep("C1CC1"), prep("CCC")]
+        net = expand(seeds, [rule], ExpansionConfig(iterations=2, max_atoms=cap))
+        molecules, reactions = naive_expand(seeds, [rule], 2, cap)
+        assert {c: it for c, (_, it) in net.molecules.items()} == molecules
+        assert {(r.iteration, r.signature) for r in net.reactions} == reactions
+
+    def test_h2_ring_closure_network(self):
+        net = expand([prep("C1CC1"), prep("CCC")], [H2_RING_CLOSURE],
+                     ExpansionConfig(iterations=2))
+        assert sorted(net.molecules) == ["C1CC1", "CCC", "[H][H]"]
+        assert [(r.reactants, r.products) for r in net.reactions] == \
+            [(("CCC",), ("C1CC1", "[H][H]"))]
 
 
 class TestProductTable:
@@ -490,10 +535,15 @@ class TestProductTable:
             "Aldol Condensation (reverse)": None,  # splits a molecule
         }
 
-    def test_unguarded_created_edge_gets_no_table(self, formose_rules):
-        # Keto-enol creates O-H inside its one component; without the NoEdge
-        # guard, apply could collide with an existing edge.
-        assert _compile_rule(without_noedge(formose_rules[0])).products is None
+    def test_undeclared_guard_keeps_the_table(self, formose_rules):
+        # Keto-enol creates O-H (3-4) inside its one component.  Without a
+        # declared NoEdge its pattern still forbids that bond, so apply
+        # cannot collide and the rule keeps its table.
+        bare = without_noedge(formose_rules[0])
+        assert not any(isinstance(c, NoEdge) for c in bare.constraints)
+        pattern, pid = bare.left_pattern()
+        assert NoEdge(pid[3], pid[4]) in pattern.constraints
+        assert _compile_rule(bare).products == (((0,), 0),)
         # Aldol creates its edges between components, which never collide.
         assert _compile_rule(without_noedge(formose_rules[2])).products is not None
 

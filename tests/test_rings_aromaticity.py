@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from grw import LabeledGraph
-from grw.chem import (KekulizationError, all_cycles, canonical_smiles,
+from grw import LabeledGraph, disjoint_union
+from grw.chem import (KekulizationError, Molecule, all_cycles, canonical_smiles,
                       fill_hydrogens, kekulize, parse_molecule,
                       perceive_aromaticity, perceive_rings, sanity_check)
 
@@ -132,6 +132,17 @@ class TestPerceiveAromaticity:
         m = perceive_aromaticity(fill_hydrogens(parse_molecule("C1=CC=CC=C1")))
         assert self.bond_set(m) == [":"] * 6
         assert canonical_smiles(m) == "c1ccccc1"
+
+    @pytest.mark.parametrize("others", [("[H][H]",), ("CC",), ("[H][H]", "[H][H]")])
+    def test_disconnected_molecule_is_perceived_per_part(self, others):
+        # Benzene plus H2, or plus ethane, has one bond fewer than atoms,
+        # like a tree, yet holds a ring; with two H2 it has two fewer.
+        parts = [fill_hydrogens(parse_molecule(s)) for s in ("C1=CC=CC=C1", *others)]
+        union, _ = disjoint_union([m.graph for m in parts])
+        got = perceive_aromaticity(Molecule(union, {}, filled=True))
+        want, _ = disjoint_union([perceive_aromaticity(m).graph for m in parts])
+        assert got.graph == want
+        assert got.graph.node_labels[:6] == ("c",) * 6
 
     def test_cyclohexane_untouched(self):
         m = fill_hydrogens(parse_molecule("C1CCCCC1"))

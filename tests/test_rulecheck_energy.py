@@ -24,9 +24,15 @@ class TestCheckChemRule:
         rule = parse_gml_rule(asset_text("diels_alder.gml"))
         violations, fixed = check_chem_rule(rule)
         assert violations == []
+        # The guards live in the pattern, whether or not the rule was
+        # checked; the checked rule declares what the file declares.
+        assert fixed.constraints == rule.constraints
+        pattern, _ = fixed.left_pattern()
+        assert pattern.constraints == rule.left_pattern()[0].constraints
+        ext = pattern.graph.ext_ids
         hand = {(c.source, c.target) for c in rule.constraints
                 if isinstance(c, NoEdge)}
-        auto = {(c.source, c.target) for c in fixed.constraints
+        auto = {(ext[c.source], ext[c.target]) for c in pattern.constraints
                 if isinstance(c, NoEdge)} - hand
         assert hand == {(1, 5), (4, 6)}
         assert auto == {(4, 5), (1, 6)}  # one per newly created bond

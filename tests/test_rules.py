@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
+from importlib import resources
 from pathlib import Path
 from random import Random
 
@@ -14,7 +16,7 @@ from grw import (ApplicationError, GmlError, LabeledGraph, NodeLabel, NoEdge,
                  RuleEdge, RuleError, RuleGraph, RuleNode, apply, apply_all,
                  are_isomorphic, canonical_key, disjoint_union, explore,
                  find_monomorphisms, parse_gml_rule, reverse_rule)
-from grw.chem import fill_hydrogens, parse_smiles
+from grw.chem import check_chem_rule, fill_hydrogens, parse_smiles
 from grw.rules import _CONSTRAINT_KINDS
 
 from conftest import assert_same_as_rebuild, asset_text
@@ -164,6 +166,79 @@ class TestRuleGml:
             RuleGraph("ghost", [RuleNode(1, None, None)], [])
 
 
+# The left-pattern constraints of every packaged rule file, in order and in
+# pattern node ids: the chemistry rules after check_chem_rule, the Life and
+# Y-Delta rules as parsed.  Sets are written sorted.
+CHEM_RULE_FILES = ("aldol.gml", "aldol_reverse.gml", "beta_lactamase.gml",
+                   "diels_alder.gml", "keto_enol.gml", "keto_enol_reverse.gml")
+PATTERN_CONSTRAINTS = {
+    "aldol.gml": [("Adjacency", 1, "=", 1, ("O",), ()), ("Adjacency", 5, "=", 1, ("O",), ()),
+                  ("NoEdge", 3, 4), ("NoEdge", 0, 5)],
+    "aldol_reverse.gml": [("NoEdge", 2, 3)],
+    "beta_lactamase.gml": [("NodeLabel", 10, "=", ("C:1",)),
+                           ("Adjacency", 10, "=", 1, ("O",), ()),
+                           ("NodeLabel", 11, "=", ("C:1",)), ("NoEdge", 2, 6), ("NoEdge", 7, 0)],
+    "delta_to_wye.gml": [],
+    "diels_alder.gml": [("NoEdge", 0, 4), ("NoEdge", 3, 5), ("NoEdge", 3, 4), ("NoEdge", 0, 5)],
+    "keto_enol.gml": [("Adjacency", 1, "=", 1, ("O",), ()), ("NoEdge", 2, 3)],
+    "keto_enol_reverse.gml": [("NoEdge", 0, 3)],
+    "life_birth.gml": [("Adjacency", 0, "=", 3, ("1",), ())],
+    "life_death.gml": [("Adjacency", 0, "!", 2, ("1",), ()),
+                       ("Adjacency", 0, "!", 3, ("1",), ())],
+    "life_survival.gml": [("Adjacency", 0, ">", 1, ("1",), ()),
+                          ("Adjacency", 0, "<", 4, ("1",), ())],
+    "wye_to_delta.gml": [("Adjacency", 3, "=", 3, ("*",), ("*",)), ("NoEdge", 0, 1),
+                         ("NoEdge", 0, 2), ("NoEdge", 1, 2)],
+}
+
+
+def constraint_row(c) -> tuple:
+    return (type(c).__name__,
+            *(tuple(sorted(v)) if isinstance(v, frozenset) else v
+              for v in (getattr(c, f.name) for f in dataclasses.fields(c))))
+
+
+class TestRulePatterns:
+    def test_every_packaged_rule_file_is_pinned(self):
+        assets = resources.files("grw") / "assets"
+        names = sorted(p.name for p in assets.iterdir()
+                       if p.name.endswith(".gml") and p.name != "nadh_groups.gml")
+        assert names == sorted(PATTERN_CONSTRAINTS)
+
+    @pytest.mark.parametrize("name", sorted(PATTERN_CONSTRAINTS))
+    def test_packaged_rule_pattern_constraints(self, name):
+        rule = parse_gml_rule(asset_text(name))
+        if name in CHEM_RULE_FILES:
+            rule = check_chem_rule(rule)[1]
+        pattern, _ = rule.left_pattern()
+        assert [constraint_row(c) for c in pattern.constraints] == PATTERN_CONSTRAINTS[name]
+
+    def test_pattern_forbids_each_bond_the_rule_forms(self):
+        # 1-3 and 2-4 are formed between left nodes; 3-1 is declared in the
+        # other orientation, so only 2-4 gains a guard.  The edge to the
+        # created node 5 needs none.
+        declared = (NoEdge(3, 1), NodeLabel(2, "=", frozenset({"A"})))
+        rule = RuleGraph("close", [RuleNode(i, "A", "A") for i in (1, 2, 3, 4)]
+                         + [RuleNode(5, None, "B")],
+                         [RuleEdge(1, 2, "-", "-"), RuleEdge(1, 3, None, "-"),
+                          RuleEdge(2, 4, None, "="), RuleEdge(4, 5, None, "-")],
+                         declared)
+        assert rule.constraints == declared
+        pattern, ext_to_pid = rule.left_pattern()
+        pid = ext_to_pid
+        assert pattern.constraints == (NoEdge(pid[3], pid[1]),
+                                       NodeLabel(pid[2], "=", frozenset({"A"})),
+                                       NoEdge(pid[2], pid[4]))
+
+    def test_reversed_rule_forbids_the_bonds_it_forms(self):
+        rule = parse_gml_rule(asset_text("keto_enol.gml"))
+        rev = reverse_rule(rule)
+        pattern, pid = rev.left_pattern()
+        # Keto-enol forms O-H (3-4); its reverse forms C-H (1-4).
+        assert rev.constraints == ()
+        assert pattern.constraints == (NoEdge(pid[1], pid[4]),)
+
+
 # ---------------------------------------------------------------------------
 # Direct DPO spot checks
 # ---------------------------------------------------------------------------
@@ -268,18 +343,28 @@ class TestApply:
         assert res.graph.node_labels == ("Q", "B")
         assert list(res.graph.edges()) == []
 
-    def test_apply_all_skips_colliding_matches(self, caplog):
+    def test_apply_all_skips_colliding_matches(self):
         rule = RuleGraph("form", [RuleNode(1, "A", "A"), RuleNode(2, "A", "A")],
                          [RuleEdge(1, 2, None, "-")],
                          constraints=())
         host = LabeledGraph.from_parts(["A", "A", "A"], [(0, 1, "-")])
-        with caplog.at_level("WARNING", logger="grw.rules"):
-            results = apply_all(rule, host)
-        # (0,1) and (1,0) collide with the existing bond; the other four
-        # ordered pairs succeed.
+        # The pattern forbids the bond the rule forms, so (0,1) and (1,0),
+        # where it exists, are no matches; the other four ordered pairs are.
+        pattern, _ = rule.left_pattern()
+        assert pattern.constraints == (NoEdge(0, 1),)
+        assert find_monomorphisms(pattern, host) == [(0, 2), (1, 2), (2, 0), (2, 1)]
+        results = apply_all(rule, host)
         assert len(results) == 4
         assert {r.match for r in results} == {(0, 2), (1, 2), (2, 0), (2, 1)}
-        assert sum("skipping match" in rec.message for rec in caplog.records) == 2
+
+    def test_apply_all_logs_nothing_where_a_bond_exists(self, caplog):
+        rule = RuleGraph("form", [RuleNode(1, "A", "A"), RuleNode(2, "A", "A")],
+                         [RuleEdge(1, 2, None, "-")])
+        host = LabeledGraph.from_parts(["A", "A", "A"], [(0, 1, "-")])
+        with caplog.at_level("DEBUG"):
+            results = apply_all(rule, host)
+        assert [r.match for r in results] == [(0, 2), (1, 2), (2, 0), (2, 1)]
+        assert caplog.records == []
 
     def test_diels_alder_counts(self, diels_alder_rule):
         host, _ = disjoint_union([mol_graph("C=CC(C)=C"), mol_graph("C=CC")])
