@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import replace
 
-from ..core import _edited, connected_components
+from ..core import _edited
 from .atoms import AtomLabel, parse_atom_label
 from .molecule import ChemError, Molecule, _tally
 from .rings import all_cycles
@@ -118,18 +118,9 @@ def _pi_contribution(m: Molecule, v: int) -> int | None:
     return None
 
 
-def _plain_tree(g) -> bool:
-    """Whether ``g`` has one edge fewer than nodes and no aromatic bond.
-    A connected such graph is a tree, with nothing to perceive."""
-    return g.edge_count == g.node_count - 1 and \
-        not any(":" in g.neighbors(v).values() for v in g.nodes())
-
-
 def perceive_aromaticity(m: Molecule) -> Molecule:
     """Flag aromatic rings (4n+2 π electrons, size ≤ 7) with lowercase
     atoms and ":" bonds; de-aromatize rings that no longer qualify."""
-    if _plain_tree(m.graph) and len(connected_components(m.graph)) == 1:
-        return m
     kek = kekulize(m)
     rings = all_cycles(kek.graph, max_size=7)
     if not rings:

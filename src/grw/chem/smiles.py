@@ -40,7 +40,7 @@ from ..core import LabeledGraph, connected_components
 from ..match import canonical_form
 from .atoms import (AROMATIC_ELEMENTS, AtomLabel, ORGANIC_SUBSET, parse_atom_label,
                     ELEMENTS)
-from .aromatic import _plain_tree, perceive_aromaticity
+from .aromatic import perceive_aromaticity
 from .groups import _placeholder_name
 from .molecule import ChemError, Molecule, _not_an_atom, _sanity, _tally
 
@@ -371,7 +371,10 @@ def accept_product(m: Molecule) -> tuple[str, Molecule]:
     molecule is tallied once, and the sanity check and the canonical
     writer both read that tally."""
     _require_filled(m)
-    mol = m if _plain_tree(m.graph) else perceive_aromaticity(m)
+    g = m.graph
+    tree = g.edge_count == g.node_count - 1 and \
+        not any(":" in g.neighbors(v).values() for v in g.nodes())
+    mol = m if tree else perceive_aromaticity(m)
     tally = _tally(mol)
     issues = _sanity(mol, tally)
     if issues:
