@@ -488,6 +488,37 @@ class TestCappedExpansion:
         assert found > 0
 
 
+FORMOSE_CLOSURE_DIGEST = "b30929be1ccbb0143d9163985c53359a1d05eb336af150efefaccd703b19a582"
+
+
+class TestWorkPerMolecule:
+    """How often ``expand`` matches a rule component and estimates an
+    energy.  Every (rule, component, molecule) is matched once, and every
+    stored molecule's energy is estimated once, but only under a model.
+    Cap 40 reaches its fixed point after iteration 10, so iterations 11-12
+    match nothing."""
+
+    @pytest.mark.parametrize("iterations, cap, with_model, matched, estimated, digest", [
+        (5, None, True, 185, 302, FORMOSE_ENERGY_DIGEST),
+        (8, 32, False, 695, 0, FORMOSE_CAP_DIGEST),
+        (12, 40, False, 2945, 0, FORMOSE_CLOSURE_DIGEST)])
+    def test_calls_and_exports(self, monkeypatch, formose_rules, formose_inputs, iterations,
+                               cap, with_model, matched, estimated, digest):
+        counts = Counter()
+
+        def counted(name):
+            inner = getattr(network, name)
+            return lambda *args: counts.update([name]) or inner(*args)
+
+        for name in ("find_monomorphisms", "estimate_energy"):
+            monkeypatch.setattr(network, name, counted(name))
+        model = load_energy_model(asset_text("energy_demo.tsv")) if with_model else None
+        net = expand(formose_inputs, formose_rules,
+                     ExpansionConfig(iterations=iterations, max_atoms=cap, energy_model=model))
+        assert (counts["find_monomorphisms"], counts["estimate_energy"]) == (matched, estimated)
+        assert hashlib.sha256((to_dot(net) + to_gml(net)).encode()).hexdigest() == digest
+
+
 RING_CLOSURE = RuleGraph(
     "ring closure", [RuleNode(1, "C", "C"), RuleNode(2, "C", "C"), RuleNode(3, "C", "C")],
     [RuleEdge(1, 2, "-", "-"), RuleEdge(2, 3, "-", "-"), RuleEdge(1, 3, None, "-")])
