@@ -31,7 +31,10 @@ def kekulize(m: Molecule) -> Molecule:
     (participates in a double bond) or zero (contributes a lone pair);
     the atom's tally record holds that need, or why it cannot be met.
     A perfect matching of the one-needing atoms along aromatic bonds is
-    then searched; failure raises :class:`KekulizationError`.
+    then searched for each aromatic system on its own: the one-needing
+    atoms that aromatic bonds between them connect.  A system with no
+    matching raises :class:`KekulizationError` at once, without
+    backtracking through the choices made in other systems.
     """
     g = m.graph
     arom_edges = [(u, v) for u, v, lbl in g.edges() if lbl == ":"]
@@ -44,35 +47,50 @@ def kekulize(m: Molecule) -> Molecule:
         if isinstance(tallies[v].need, tuple):
             raise KekulizationError(str(v).join(tallies[v].need))
 
+    # The systems, each in ascending atom order, by their smallest atom.
+    unplaced = {v for v in arom_atoms if tallies[v].need == 1}
+    systems: list[list[int]] = []
+    for root in arom_atoms:
+        if root in unplaced:
+            unplaced.remove(root)
+            system, todo = [root], [root]
+            while todo:
+                for u, lbl in g.neighbors(todo.pop()).items():
+                    if lbl == ":" and u in unplaced:
+                        unplaced.remove(u)
+                        system.append(u)
+                        todo.append(u)
+            systems.append(sorted(system))
+
     # Backtracking on an explicit stack: the first unmatched pending atom
     # takes its first free aromatic neighbour in ascending order; a dead
     # end undoes the latest choice and tries that atom's next neighbour.
-    pending = [v for v in arom_atoms if tallies[v].need == 1]
     matched: dict[int, int] = {}
-    stack: list[tuple[int, Iterator[int]]] = []
-    i = 0
-    while True:
-        while i < len(pending) and pending[i] in matched:
-            i += 1
-        if i == len(pending):
-            break
-        # The generator tests "u not in matched" when it is advanced.
-        stack.append((i, (u for u, lbl in g.neighbors(pending[i]).items()
-                          if lbl == ":" and tallies[u].need == 1 and u not in matched)))
-        while stack:
-            i, partners = stack[-1]
-            v = pending[i]
-            if v in matched:  # back from a dead end
-                del matched[matched.pop(v)]
-            u = next(partners, None)
-            if u is not None:
+    for pending in systems:
+        stack: list[tuple[int, Iterator[int]]] = []
+        i = 0
+        while True:
+            while i < len(pending) and pending[i] in matched:
+                i += 1
+            if i == len(pending):
                 break
-            stack.pop()
-        else:
-            raise KekulizationError("no alternating single/double assignment exists")
-        matched[v] = u
-        matched[u] = v
-        i += 1
+            # The generator tests "u not in matched" when it is advanced.
+            stack.append((i, (u for u, lbl in g.neighbors(pending[i]).items()
+                              if lbl == ":" and tallies[u].need == 1 and u not in matched)))
+            while stack:
+                i, partners = stack[-1]
+                v = pending[i]
+                if v in matched:  # back from a dead end
+                    del matched[matched.pop(v)]
+                u = next(partners, None)
+                if u is not None:
+                    break
+                stack.pop()
+            else:
+                raise KekulizationError("no alternating single/double assignment exists")
+            matched[v] = u
+            matched[u] = v
+            i += 1
 
     labels = [replace(rec.atom, aromatic=False).render() if rec.atom and rec.atom.aromatic
               else rec.label for rec in tallies]

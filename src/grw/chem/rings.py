@@ -5,6 +5,10 @@ concatenates the simple paths meeting at that vertex, and any path whose
 two endpoints coincide is recorded as a cycle.  This yields *all* simple
 cycles of the input graph, each exactly once.  An optional size bound
 prunes paths (and cycles) already longer than the bound.
+
+A vertex of degree at most 1 lies on no cycle.  Such vertices are peeled
+first, repeatedly and in linear time, so a tree costs no collapse step
+and the collapse runs on the 2-core alone.
 """
 
 from __future__ import annotations
@@ -35,6 +39,18 @@ def all_cycles(g: LabeledGraph, max_size: int | None = None) -> list[tuple[int, 
     for idx, (a, b, _) in enumerate(paths):
         incident[a].add(idx)
         incident[b].add(idx)
+
+    # Peel: removing a leaf may leave its neighbour a leaf in turn.
+    leaves = [v for v in alive if len(incident[v]) <= 1]
+    while leaves:
+        x = leaves.pop()
+        alive.remove(x)
+        for idx in incident.pop(x):
+            a, b, _ = paths[idx]
+            y = b if a == x else a
+            incident[y].discard(idx)
+            if len(incident[y]) == 1:
+                leaves.append(y)
 
     cycles: set[tuple[int, ...]] = set()
 

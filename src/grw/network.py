@@ -1,8 +1,8 @@
 """Iterative expansion of reaction networks.
 
-Starting from seed molecules, every rule is applied to every admissible
-combination of known molecules, products are perceived, sanity-checked
-and canonicalized, and newly seen molecules feed the next iteration.
+Starting from seed molecules, every rule is applied to every combination
+of known molecules that holds a new one; products are perceived,
+sanity-checked and canonicalized, and new molecules feed the next iteration.
 A rule whose left pattern has k connected components consumes k molecule
 copies, one per component — intermolecular by construction; unimolecular
 chemistry needs a connected pattern.  Everything is deterministic:
@@ -154,39 +154,27 @@ def _product_table(rule: RuleGraph, components: list[list[int]]):
 
 @dataclass(slots=True)
 class _Expansion:
-    """The state of one :func:`expand` call, shared by its iterations."""
+    """The state of one :func:`expand` call; ``matches[canon][rule_idx][j]``
+    holds the matches of a rule's left component j in a stored molecule."""
     cfg: ExpansionConfig
     compiled: list[_CompiledRule]
     net: ReactionNetwork
     pool: GraphPool = field(default_factory=GraphPool)
     seen: set[tuple] = field(default_factory=set)       # reaction signatures
     energies: dict[str, float] = field(default_factory=dict)
-    match_cache: dict[tuple[int, int, str], tuple] = field(default_factory=dict)
+    matches: dict[str, list[list[tuple]]] = field(default_factory=dict)
     iteration: int = 0
     discovered: list[str] = field(default_factory=list)  # new this iteration
 
     def store(self, canon: str, mol: Molecule) -> None:
-        """Keep a new molecule, its graph shared through the pool."""
+        """Keep a new molecule, its graph shared through the pool, and its
+        energy (0.0 without a model)."""
         if canon not in self.net.molecules:
-            self.net.molecules[canon] = (replace(mol, graph=self.pool.share(mol.graph)),
-                                         self.iteration)
+            mol = replace(mol, graph=self.pool.share(mol.graph))
+            self.net.molecules[canon] = (mol, self.iteration)
+            model = self.cfg.energy_model
+            self.energies[canon] = 0.0 if model is None else estimate_energy(mol, model)
             self.discovered.append(canon)
-
-    def matches_in(self, rule_idx: int, comp_idx: int, canon: str) -> tuple:
-        """Matches of one left component of a rule in one known molecule."""
-        key = (rule_idx, comp_idx, canon)
-        found = self.match_cache.get(key)
-        if found is None:
-            comp = self.compiled[rule_idx].components[comp_idx]
-            host = self.net.molecules[canon][0].graph
-            found = self.match_cache[key] = tuple(find_monomorphisms(comp, host))
-        return found
-
-    def energy_of(self, canon: str) -> float:
-        if canon not in self.energies:
-            self.energies[canon] = estimate_energy(self.net.molecules[canon][0],
-                                                   self.cfg.energy_model)
-        return self.energies[canon]
 
 
 def expand(inputs: list[Molecule], rules: list[RuleGraph],
@@ -197,13 +185,16 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
     product is accepted by :func:`~grw.chem.accept_product`.  A seed it
     rejects raises its :class:`~grw.chem.ChemError`; a product it rejects
     is reported through the module logger and its reaction is discarded,
-    and expansion never aborts on them.  Every molecule the network stores
-    (seeds and new products) goes through the state's one
-    :class:`~grw.core.GraphPool`, so stored graphs share equal rows and
-    tuples; discarded and duplicate products never reach it.
+    and expansion never aborts on them, nor on a match where a bond the
+    rule forms exists: that is no match of the rule's pattern.  Every
+    molecule the network stores (seeds and new products) goes through the
+    state's one :class:`~grw.core.GraphPool`, so stored graphs share equal
+    rows and tuples; discarded and duplicate products never reach it.
 
-    A match where a bond the rule forms exists is no match of its
-    pattern, so no rule aborts the run.
+    A molecule's energy is estimated once, when it is stored (0.0 without
+    a model), and its matches of every rule component once, when the next
+    iteration starts.  An iteration walks only the combinations that hold
+    such a new molecule, so an iteration with none does nothing.
 
     Under ``cfg.max_atoms``, a reaction with a product over the cap is
     discarded.  For a rule that deletes no node and keeps the endpoints
@@ -220,11 +211,15 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
     for m in inputs:
         x.store(*accept_product(m))
 
-    molecules, cap, matches_in = x.net.molecules, cfg.max_atoms, x.matches_in
+    molecules, cap, matches = x.net.molecules, cfg.max_atoms, x.matches
     for i in range(1, cfg.iterations + 1):
         t0 = time.monotonic()
-        known = sorted(molecules)
+        for c in x.discovered:
+            host = molecules[c][0].graph
+            matches[c] = [[tuple(find_monomorphisms(comp, host)) for comp in cr.components]
+                          for cr in x.compiled]
         new_set = set(x.discovered)
+        known = sorted(molecules) if new_set else []  # no new molecule, no combination
         x.iteration, x.discovered = i, []
 
         for rule_idx, cr in enumerate(x.compiled):
@@ -232,7 +227,7 @@ def expand(inputs: list[Molecule], rules: list[RuleGraph],
             for combo in itertools.product(known, repeat=k):
                 if not any(c in new_set for c in combo):
                     continue
-                per_comp = [matches_in(rule_idx, j, combo[j]) for j in range(k)]
+                per_comp = [matches[c][rule_idx][j] for j, c in enumerate(combo)]
                 if not all(per_comp):
                     continue
                 graphs = [molecules[c][0].graph for c in combo]
@@ -287,11 +282,8 @@ def _process_match(x: _Expansion, cr: _CompiledRule, union: LabeledGraph | None,
     for canon, mol in product_mols:
         x.store(canon, mol)
 
-    if x.cfg.energy_model is not None:
-        delta_e = sum(map(x.energy_of, products)) - sum(map(x.energy_of, reactants))
-        rate = reaction_rate(delta_e, x.cfg.rate_params)
-    else:
-        delta_e, rate = 0.0, 1.0
+    delta_e = sum(x.energies[c] for c in products) - sum(x.energies[c] for c in reactants)
+    rate = reaction_rate(delta_e, x.cfg.rate_params)
     x.net.reactions.append(Reaction(cr.rule.rule_id, reactants, products,
                                     rate, delta_e, x.iteration))
 

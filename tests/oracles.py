@@ -14,8 +14,8 @@ from random import Random
 from grw import (Adjacency, EdgeLabel, LabeledGraph, NodeDegree, NodeLabel,
                  NoEdge, Pattern, RuleGraph, apply, apply_all, connected_components,
                  disjoint_union, find_monomorphisms)
-from grw.chem import (KekulizationError, Molecule, canonical_smiles,
-                      perceive_aromaticity, sanity_check)
+from grw.chem import (KekulizationError, Molecule, allowed_valences, canonical_smiles,
+                      parse_atom_label, perceive_aromaticity, sanity_check)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +473,54 @@ def reference_tally(g: LabeledGraph):
                  for v in heavy]
     odd = [(u, v, b) for u, v, b in g.edges() if b not in ("-", "=", "#", ":")]
     return rows, heavy, heavy_adj, odd
+
+
+# ---------------------------------------------------------------------------
+# Kekulé structures by exhaustive enumeration
+# ---------------------------------------------------------------------------
+
+def kekule_structures(g: LabeledGraph) -> list[frozenset[tuple[int, int]]]:
+    """Every Kekulé structure of a graph with at most 16 aromatic atoms.
+
+    An aromatic atom (one with a ``:`` bond) needs the fewest bond orders
+    that bring it to one of its allowed valences, its aromatic bonds
+    counted as single.  A structure is a set of aromatic bonds ``(u, v)``,
+    ``u < v``, to be made double: exactly one at each atom that needs one,
+    none at an atom that needs none.  An atom that needs more than one, or
+    that is past every allowed valence, leaves no structure.
+    """
+    partners: dict[int, set[int]] = {}
+    for u, v, b in g.edges():
+        if b == ":":
+            partners.setdefault(u, set()).add(v)
+            partners.setdefault(v, set()).add(u)
+    assert len(partners) <= 16
+    needy = set()
+    for v in partners:
+        atom = parse_atom_label(g.label(v))
+        if atom is None:
+            return []
+        bonds = list(g.neighbors(v).values())
+        have = sum(_BOND_ORDER.get(b, 0) for b in bonds) + bonds.count(":")
+        gaps = [val - have for val in allowed_valences(atom.element, atom.charge) if val >= have]
+        if not gaps or min(gaps) > 1:
+            return []
+        if min(gaps) == 1:
+            needy.add(v)
+
+    # Every perfect matching of the needy atoms along aromatic bonds: the
+    # smallest atom left takes each of its partners in turn.
+    found = []
+    todo = [(frozenset(needy), frozenset())]
+    while todo:
+        left, doubles = todo.pop()
+        if not left:
+            found.append(doubles)
+            continue
+        v = min(left)
+        for u in partners[v] & left:
+            todo.append((left - {u, v}, doubles | {(min(u, v), max(u, v))}))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ Every import is at module level, so that a module's dependencies are
 read in one place and an import cycle shows when the package loads.
 Every module-level logger is called in its module, so that no module
 keeps a logger it no longer writes to.
+``network.py`` names ``find_monomorphisms`` and ``estimate_energy`` at
+one site each, so that a molecule's matches and its energy are decided
+in one place.
 Importing the package again does not keep the old copy alive.
 """
 
@@ -212,6 +215,33 @@ def test_checker_flags_an_uncalled_logger():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_logger_is_called(module):
     assert uncalled_loggers((SRC / module).read_text()) == []
+
+
+def name_sites(source: str, names) -> dict[str, list[int]]:
+    """The lines that name each of ``names`` outside an import: every
+    call, and every reference that could be called elsewhere."""
+    found: dict[str, list[int]] = {name: [] for name in names}
+    for n in ast.walk(ast.parse(source)):
+        name = getattr(n, "id", getattr(n, "attr", None))  # a Name or an Attribute
+        if name in found:
+            found[name].append(n.lineno)
+    return {name: sorted(lines) for name, lines in found.items()}
+
+
+def test_checker_flags_every_site():
+    source = ("from .match import find_monomorphisms\nfrom . import chem\n"
+              "a = find_monomorphisms(p, h)\n"
+              "b = [chem.estimate_energy(m, e) for m in ms]\n"
+              "c = find_monomorphisms\nd = 'find_monomorphisms'\n")
+    assert name_sites(source, ("find_monomorphisms", "estimate_energy", "apply")) == {
+        "find_monomorphisms": [3, 5], "estimate_energy": [4], "apply": []}
+
+
+def test_network_matches_and_estimates_at_one_site_each():
+    sites = name_sites((SRC / "network.py").read_text(),
+                       ("find_monomorphisms", "estimate_energy"))
+    assert {name: len(lines) for name, lines in sites.items()} == {
+        "find_monomorphisms": 1, "estimate_energy": 1}, sites
 
 
 REIMPORT = """

@@ -493,8 +493,8 @@ FORMOSE_CLOSURE_DIGEST = "b30929be1ccbb0143d9163985c53359a1d05eb336af150efefaccd
 
 class TestWorkPerMolecule:
     """How often ``expand`` matches a rule component and estimates an
-    energy.  Every (rule, component, molecule) is matched once, and every
-    stored molecule's energy is estimated once, but only under a model.
+    energy: each component once in each molecule found before the last
+    iteration, and each stored molecule's energy once, under a model only.
     Cap 40 reaches its fixed point after iteration 10, so iterations 11-12
     match nothing."""
 

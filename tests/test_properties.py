@@ -1,7 +1,8 @@
 """Property tests: canonical keys and dedup against the backtracking oracle,
 matching against the brute-force oracle, exploration against a walk that
 keys every successor, the GML graph round trip, and canonical SMILES on
-generated molecules.
+generated molecules, and kekulization against the exhaustive Kekulé
+oracle.
 
 Labels draw from plain letters and from short strings over an alphabet
 holding the key's separators, so a key that fails to escape them would
@@ -20,10 +21,11 @@ from grw import (Adjacency, EdgeLabel, LabeledGraph, NoEdge, NodeDegree, NodeLab
                  Pattern, RuleEdge, RuleGraph, RuleNode, apply_all, canonical_key,
                  explore, find_monomorphisms, parse_gml_graph, parse_gml_rule,
                  write_gml_graph)
-from grw.chem import Molecule, canonical_smiles, fill_hydrogens, parse_smiles
+from grw.chem import (KekulizationError, Molecule, canonical_smiles, fill_hydrogens,
+                      kekulize, parse_smiles)
 
 from conftest import asset_text
-from oracles import brute_force_monomorphisms, isomorphic, naive_explore
+from oracles import brute_force_monomorphisms, isomorphic, kekule_structures, naive_explore
 
 LABELS = st.one_of(st.sampled_from(["a", "b"]),
                    st.text(alphabet="ab,|;\\-:", min_size=1, max_size=3))
@@ -402,3 +404,57 @@ def test_canonical_smiles_reparses_to_a_fixed_point(m):
     back = fill_hydrogens(back)
     assert isomorphic(back.graph, m.graph), canon
     assert canonical_smiles(back) == canon
+
+
+AROMATIC_ATOMS = ["c"] * 30 + ["n", "n", "o", "s", "p", "b", "n+", "c-", "o+", "C"]
+
+
+@st.composite
+def aromatic_molecules(draw) -> Molecule:
+    """A filled molecule with up to 16 aromatic atoms in one to three
+    rings.  A drawn chord fuses a ring; a later ring is bonded to an
+    earlier one by an aromatic bond, a single bond or not at all, so a
+    molecule may hold several aromatic systems.  Hydrogen counts are left
+    to the valence rules or pinned, and an atom may carry ``=O`` or
+    ``-C``, so Kekulé needs vary and a structure may or may not exist."""
+    labels: list[str] = []
+    edges: dict[tuple[int, int], str] = {}
+    for size in draw(st.lists(st.sampled_from([3, 4, 5, 6, 6, 6, 7]), min_size=1, max_size=3)):
+        start = len(labels)
+        if start + size > 16:
+            break
+        labels += draw(st.lists(st.sampled_from(AROMATIC_ATOMS), min_size=size, max_size=size))
+        ring = range(start, start + size)
+        edges.update(((v, v + 1), ":") for v in ring[:-1])
+        edges[(start, ring[-1])] = ":"
+        chord = draw(st.sampled_from([None, *((u, v) for u in ring for v in ring if v > u + 1)]))
+        if chord is not None:
+            edges[chord] = ":"
+        link = draw(st.sampled_from([None, ":", "-"]))
+        if start and link:
+            edges[(draw(st.integers(0, start - 1)), draw(st.sampled_from(ring)))] = link
+    aromatic = len(labels)
+    for v in range(aromatic):
+        extra = draw(st.sampled_from([None] * 6 + [("O", "="), ("C", "-")]))
+        if extra is not None:
+            edges[(v, len(labels))] = extra[1]
+            labels.append(extra[0])
+    pinned = draw(st.lists(st.sampled_from([None] * 12 + [0, 1, 2]),
+                           min_size=aromatic, max_size=aromatic))
+    graph = LabeledGraph.from_parts(labels, [(u, v, b) for (u, v), b in edges.items()])
+    return fill_hydrogens(Molecule(graph, {v: h for v, h in enumerate(pinned) if h is not None}))
+
+
+@settings(max_examples=300)
+@given(aromatic_molecules())
+def test_kekulize_finds_a_structure_exactly_when_the_oracle_does(m):
+    structures = kekule_structures(m.graph)
+    try:
+        kek = kekulize(m)
+    except KekulizationError:
+        assert structures == []
+        return
+    aromatic = {(u, v) for u, v, b in m.graph.edges() if b == ":"}
+    doubles = frozenset((min(u, v), max(u, v)) for u, v, b in kek.graph.edges()
+                        if b == "=" and ((u, v) in aromatic or (v, u) in aromatic))
+    assert doubles in structures

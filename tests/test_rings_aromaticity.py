@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from random import Random
 
 import pytest
@@ -40,6 +41,15 @@ class TestAllCycles:
         square = LabeledGraph.from_parts(
             ["A"] * 4, [(0, 1, "-"), (1, 2, "-"), (2, 3, "-"), (0, 3, "-")])
         assert all_cycles(square) == [(0, 1, 2, 3)]
+
+    def test_long_tails_peel_down_to_the_ring(self):
+        # A square with a 30-node tail on one corner and a branched tail
+        # on another: peeling each tail leaves the next node a leaf.
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), *((v, v + 1) for v in range(3, 33)),
+                 (1, 34), (34, 35), (34, 36), (36, 37)]
+        g = LabeledGraph.from_parts(["A"] * 38, [(u, v, "-") for u, v in edges])
+        assert all_cycles(g) == exhaustive_simple_cycles(g) == [(0, 1, 2, 3)]
+        assert all_cycles(g, max_size=3) == []
 
     def test_matches_oracle_on_random_graphs(self):
         rng = Random(20260816)
@@ -116,6 +126,17 @@ class TestKekulize:
     def test_long_odd_ring_fails_cleanly(self):
         with pytest.raises(KekulizationError):
             kekulize(fill_hydrogens(parse_molecule("c1" + "c" * 1997 + "c1")))
+
+    def test_independent_ring_systems_fail_fast(self):
+        # Nineteen phenyl rings, each with two Kekulé structures, then an
+        # all-carbon aromatic 5-ring, which has none.  A search across
+        # the systems would try 2**19 combinations before it gives up.
+        chain = "c1ccc(cc1)" + "-c1ccc(cc1)" * 18 + "-c1cccc1"
+        m = fill_hydrogens(parse_molecule(chain))
+        t0 = time.perf_counter()
+        with pytest.raises(KekulizationError, match="no alternating"):
+            kekulize(m)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_leaves_plain_molecules_alone(self):
         m = fill_hydrogens(parse_molecule("CCO"))
