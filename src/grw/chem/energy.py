@@ -27,10 +27,12 @@ class RateParams:
     R: float = 1.987e-3
 
     def __post_init__(self):
-        if self.T <= 0:
+        if not self.T > 0:  # NaN too: every rate would read nan
             raise ValueError("temperature must be positive")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError("gas constant must be positive")
+        if not self.R * self.T > 0:  # every rate divides by it
+            raise ValueError("R·T must be positive, not rounded to zero")
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,9 @@ class TestToychem:
 
     @pytest.mark.parametrize("extra", [("--iter", "-1"),
                                        ("--iter", "1", "--max-atoms", "0"),
-                                       ("--iter", "1", "--temp", "0")])
+                                       ("--iter", "1", "--temp", "0"),
+                                       ("--iter", "1", "--temp", "nan"),
+                                       ("--iter", "1", "--temp", "1e-322")])
     def test_bad_config_is_usage_error(self, capsys, extra):
         code, _, err = run(capsys, "toychem", "--rules", FORMOSE_RULES[0],
                            "--smiles", "C=O", *extra)

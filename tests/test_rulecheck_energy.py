@@ -224,6 +224,12 @@ class TestRates:
             RateParams(T=0.0)
         with pytest.raises(ValueError):
             RateParams(R=-1.0)
+        with pytest.raises(ValueError):
+            RateParams(T=float("nan"))
+        with pytest.raises(ValueError):
+            RateParams(R=float("nan"))
+        with pytest.raises(ValueError):
+            RateParams(T=1e-322)  # positive, but R·T rounds to zero
 
     def test_reverse_reaction_delta_is_antisymmetric(self, formose_rules):
         """Forward and side-swapped reactions have opposite energy changes."""
